@@ -8,98 +8,29 @@ brute-force oracle so every formula can be checked against direct
 enumeration.
 """
 
-from .counts import (
-    count_down,
-    count_down_from_top,
-    count_s_paths,
-    count_s_paths_from_top,
-    count_trajectory,
-    odd_double_factorial,
-    xi,
-    xi_zero,
-)
-from .functions import (
-    InconsistencyError,
-    f_base,
-    f_explicit,
-    f_explicit_terms,
-    f_rec,
-    g_product,
-    g_upper,
-    g_values,
-    weight,
-)
-from .trajectories import (
-    GoodSequence,
-    PseudoTrajectory,
-    Trajectory,
-    enumerate_good_sequences,
-    enumerate_pseudo_trajectories,
-    enumerate_trajectories,
-    is_good_sequence,
-    make_trajectory,
-    parse_trajectory,
-    reverse,
-    trajectory_from_sequence,
-    up_values,
-)
-from .words import (
-    EPSILON,
-    Word,
-    common_suffix_len,
-    concat,
-    level,
-    parse_word,
-    predecessors,
-    rank,
-    start1,
-    start2,
-    stats,
-    successors,
-    suffix_sum,
-)
+from .counts import count_down, count_s_paths, count_trajectory, xi, xi_zero
+from .functions import InconsistencyError, f_explicit, f_rec, g_values
+from .trajectories import Trajectory, parse_trajectory
+from .words import EPSILON, Word, level, parse_word, predecessors, successors
 
+# The documented surface, in the order the README lists it; the rest of the
+# package is reached through its submodules.
 __all__ = [
-    "EPSILON",
-    "GoodSequence",
-    "InconsistencyError",
-    "PseudoTrajectory",
-    "Trajectory",
     "Word",
-    "common_suffix_len",
-    "concat",
-    "count_down",
-    "count_down_from_top",
-    "count_s_paths",
-    "count_s_paths_from_top",
-    "count_trajectory",
-    "enumerate_good_sequences",
-    "enumerate_pseudo_trajectories",
-    "enumerate_trajectories",
-    "f_base",
-    "f_explicit",
-    "f_explicit_terms",
-    "f_rec",
-    "g_product",
-    "g_upper",
-    "g_values",
-    "is_good_sequence",
-    "level",
-    "make_trajectory",
-    "odd_double_factorial",
-    "parse_trajectory",
+    "EPSILON",
     "parse_word",
+    "level",
     "predecessors",
-    "rank",
-    "reverse",
-    "start1",
-    "start2",
-    "stats",
     "successors",
-    "suffix_sum",
-    "trajectory_from_sequence",
-    "up_values",
-    "weight",
+    "Trajectory",
+    "parse_trajectory",
+    "f_rec",
+    "f_explicit",
+    "g_values",
+    "InconsistencyError",
+    "count_down",
+    "count_trajectory",
+    "count_s_paths",
     "xi",
     "xi_zero",
 ]

@@ -14,6 +14,10 @@ Grammar::
 Words are written as '1'/'2' strings with "e" for the empty word;
 trajectories as comma-separated integers.  Exit codes: 0 success,
 1 usage error, 2 computation disagreement.
+
+The library rejects out-of-range arguments with ``ValueError``, which
+:func:`main` reports as a usage error; this module checks only what the
+library cannot: integer syntax, ``--mode base`` and the oracle caps.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import counts, invariants, oracle
 from .functions import InconsistencyError, f_base, f_explicit, f_rec
@@ -35,31 +40,7 @@ EXIT_DISAGREE = 2
 
 DEFAULT_ORACLE_RANK_CAP = 12
 
-
-class CliError(Exception):
-    """Bad arguments or violated preconditions; maps to exit code 1."""
-
-
-@dataclass
-class QueryResult:
-    command: str
-    args: list[str]
-    value: str
-    oracle: str | None = None
-    agree: bool | None = None
-    millis: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "args": self.args,
-                "value": self.value,
-                "oracle": self.oracle,
-                "agree": self.agree,
-                "millis": self.millis,
-            }
-        )
+Thunk = Callable[[], object]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,26 +51,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _word(text: str) -> Word:
-    try:
-        return parse_word(text)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
-def _check_oracle_cap(y: Word, cap: int) -> None:
-    if y.rank > cap:
-        raise CliError(
-            f"oracle verification capped at rank {cap} (upper word has rank "
-            f"{y.rank}); raise --verify-cap to override"
-        )
+def _result(command, args, value, oracle_value=None, agree=None, millis=0.0) -> dict:
+    """The ``--json`` payload; numbers are rendered in full as strings."""
+    return {
+        "command": command,
+        "args": args,
+        "value": str(value),
+        "oracle": None if oracle_value is None else str(oracle_value),
+        "agree": agree,
+        "millis": millis,
+    }
 
 
 @dataclass
 class VerifySection:
+    """One verification sweep: its effective caps and what it found."""
+
     name: str
-    checks: int
-    failures: list[str]
+    caps: dict[str, int]
+    checks: int = 0
+    skipped: int = 0
+    failures: list[str] = field(default_factory=list)
+
+    def compare(self, label: str, formula: Callable, brute: Callable, *args) -> None:
+        """One check of ``formula(*args)`` against ``brute(*args)``; an
+        inconsistency inside the formula counts as a failure.  ``label`` is
+        formatted with ``args`` only on failure."""
+        self.checks += 1
+        try:
+            got = formula(*args)
+        except InconsistencyError as exc:
+            self.failures.append(f"{label.format(*args)}: {exc}")
+            return
+        want = brute(*args)
+        if got != want:
+            self.failures.append(f"{label.format(*args)}: formula {got} != oracle {want}")
 
 
 @dataclass
@@ -118,102 +114,83 @@ def _word_pairs(max_rank: int):
                     yield x, y
 
 
+TRAJ_LENGTH_CAP = 8
+
+
 def run_verification(max_rank: int, max_s: int) -> VerifyReport:
     """Formula-versus-oracle sweeps plus the identity suites.
 
     Down-path checks cover every word pair up to ``max_rank``; trajectory
     and S-path checks run on smaller rank caps (their oracles walk every
-    path) with up-step counts bounded by ``max_s``.
+    path) with up-step counts bounded by ``max_s``; trajectories longer
+    than ``TRAJ_LENGTH_CAP`` are counted as skipped.  Every section records
+    the caps it ran under.
     """
     sections: list[VerifySection] = []
 
-    checks, failures = 0, []
+    sec = VerifySection("down-paths", {"rank": max_rank})
     for x, y in _word_pairs(max_rank):
-        checks += 1
-        try:
-            got = counts.count_down(x, y)
-        except InconsistencyError as exc:
-            failures.append(f"({x}, {y}): {exc}")
-            continue
-        want = oracle.brute_count_down(x, y)
-        if got != want:
-            failures.append(f"({x}, {y}): formula {got} != oracle {want}")
-    sections.append(VerifySection("down-paths", checks, failures))
+        sec.compare("({}, {})", counts.count_down, oracle.brute_count_down, x, y)
+    sections.append(sec)
 
-    checks, failures = 0, []
+    sec = VerifySection("down-from-top", {"rank": max_rank})
     for n in range(max_rank + 1):
         for x in level(n):
-            checks += 1
+            sec.checks += 1
             try:
                 got = counts.count_down_from_top(x)
                 full = counts.count_down(EPSILON, x)
             except InconsistencyError as exc:
-                failures.append(f"({x}): {exc}")
+                sec.failures.append(f"({x}): {exc}")
                 continue
             if got != full or got != oracle.brute_count_down(EPSILON, x):
-                failures.append(f"({x}): closed form {got} disagrees")
-    sections.append(VerifySection("down-from-top", checks, failures))
+                sec.failures.append(f"({x}): closed form {got} disagrees")
+    sections.append(sec)
 
-    checks, failures = 0, []
     traj_rank = min(max_rank, 4)
+    sec = VerifySection(
+        "trajectory-paths", {"rank": traj_rank, "S": max_s, "length": TRAJ_LENGTH_CAP}
+    )
     for x, y in _word_pairs(traj_rank):
         for s in range(max_s + 1):
             for t in enumerate_trajectories(x.rank, y.rank, s):
-                if t.length > 8:
+                if t.length > TRAJ_LENGTH_CAP:
+                    sec.skipped += 1
                     continue
-                checks += 1
-                try:
-                    got = counts.count_trajectory(x, y, t)
-                except InconsistencyError as exc:
-                    failures.append(f"({x}, {y}, {t}): {exc}")
-                    continue
-                want = oracle.brute_count_trajectory(x, y, t)
-                if got != want:
-                    failures.append(f"({x}, {y}, {t}): formula {got} != oracle {want}")
-    sections.append(VerifySection("trajectory-paths", checks, failures))
+                label = "({}, {}, {})"
+                sec.compare(label, counts.count_trajectory, oracle.brute_count_trajectory, x, y, t)
+    sections.append(sec)
 
-    checks, failures = 0, []
     spath_rank = min(max_rank, 5)
+    sec = VerifySection("s-paths", {"rank": spath_rank, "S": max_s})
     for x, y in _word_pairs(spath_rank):
         for s in range(max_s + 1):
-            checks += 1
-            try:
-                got = counts.count_s_paths(x, y, s)
-            except InconsistencyError as exc:
-                failures.append(f"({x}, {y}, S={s}): {exc}")
-                continue
-            want = oracle.brute_count_s(x, y, s)
-            if got != want:
-                failures.append(f"({x}, {y}, S={s}): formula {got} != oracle {want}")
-    sections.append(VerifySection("s-paths", checks, failures))
+            sec.compare("({}, {}, S={})", counts.count_s_paths, oracle.brute_count_s, x, y, s)
+    sections.append(sec)
 
-    checks, failures = 0, []
-    xi_bound = min(max_rank, 6)
-    for Y in range(xi_bound + 1):
+    xi_rank = min(max_rank, 6)
+    sec = VerifySection("up-value sums", {"rank": xi_rank, "S": max_s})
+    for Y in range(xi_rank + 1):
         for X in range(Y + 1):
             for s in range(max_s + 1):
                 for i in range(X + 1):
-                    checks += 1
-                    got = counts.xi(X, Y, s, i)
-                    want = oracle.brute_xi(X, Y, s, i)
-                    if got != want:
-                        failures.append(
-                            f"(X={X}, Y={Y}, S={s}, i={i}): formula {got} != oracle {want}"
-                        )
-    sections.append(VerifySection("up-value sums", checks, failures))
+                    label = "(X={}, Y={}, S={}, i={})"
+                    sec.compare(label, counts.xi, oracle.brute_xi, X, Y, s, i)
+    sections.append(sec)
 
-    for name, suite_checks, suite_failures in invariants.run_invariant_suites(
-        min(max_rank, 6)
-    ):
-        sections.append(VerifySection(f"identity: {name}", suite_checks, suite_failures))
+    digits = min(max_rank, 6)
+    for name, checks, failures in invariants.run_invariant_suites(digits):
+        caps = {"digits": digits}
+        sections.append(VerifySection(f"identity: {name}", caps, checks, failures=failures))
 
-    checks, failures = 0, []
-    for n in range(min(max_rank, 8) + 1):
+    degree_rank = min(max_rank, 8)
+    sec = VerifySection("out-degree = in-degree + 1", {"rank": degree_rank})
+    for n in range(degree_rank + 1):
         for w in level(n):
-            checks += 1
+            sec.checks += 1
             if len(successors(w)) != len(predecessors(w)) + 1:
-                failures.append(f"degree mismatch at {w}")
-    sections.append(VerifySection("out-degree = in-degree + 1", checks, failures))
+                sec.failures.append(f"degree mismatch at {w}")
+    sections.append(sec)
 
     return VerifyReport(sections)
 
@@ -232,65 +209,152 @@ def hasse_dot(max_rank: int) -> str:
     return "\n".join(lines)
 
 
+def _int_arg(text: str, name: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
+def _capped(name: str, value: int, cap: int) -> int:
+    """``value``, once it is within the oracle's cap; past it, a usage error."""
+    if value > cap:
+        raise ValueError(f"oracle verification capped at {name} <= {cap}, got {value}")
+    return value
+
+
+def _capped_word(y: Word, args: argparse.Namespace) -> Word:
+    """``y``, once its rank is within ``--verify-cap``: the oracle is exponential in it."""
+    if y.rank > args.verify_cap:
+        raise ValueError(
+            f"oracle verification capped at rank {args.verify_cap} (upper word has rank "
+            f"{y.rank}); raise --verify-cap to override"
+        )
+    return y
+
+
+def _down(a) -> tuple[object, Thunk]:
+    x, y = parse_word(a.x), parse_word(a.y)
+    return counts.count_down(x, y), lambda: oracle.brute_count_down(x, _capped_word(y, a))
+
+
+def _traj(a) -> tuple[object, Thunk]:
+    x, y, t = parse_word(a.x), parse_word(a.y), parse_trajectory(a.delta)
+    return (
+        counts.count_trajectory(x, y, t),
+        lambda: oracle.brute_count_trajectory(x, _capped_word(y, a), t),
+    )
+
+
+def _spaths(a) -> tuple[object, Thunk]:
+    x, y, s = parse_word(a.x), parse_word(a.y), _int_arg(a.s, "S")
+    return (
+        counts.count_s_paths(x, y, s),
+        lambda: oracle.brute_count_s(x, _capped_word(y, a), _capped("S", s, 4)),
+    )
+
+
+def _f(a) -> tuple[object, Thunk]:
+    x, y, z = parse_word(a.x), _int_arg(a.y, "Y"), _int_arg(a.z, "Z")
+    if a.mode == "base":
+        if z != 0:
+            raise ValueError("--mode base requires Z = 0")
+        value = f_base(x, y)
+    else:
+        value = (f_rec if a.mode == "rec" else f_explicit)(x, y, z)
+    return value, lambda: (f_explicit if a.mode == "rec" else f_rec)(x, y, z)
+
+
+def _xi(a) -> tuple[object, Thunk]:
+    X, Y = _int_arg(a.x, "X"), _int_arg(a.y, "Y")
+    s, i = _int_arg(a.s, "S"), _int_arg(a.i, "I")
+    return (
+        counts.xi(X, Y, s, i),
+        lambda: oracle.brute_xi(X, _capped("Y", Y, 8), _capped("S", s, 5), i),
+    )
+
+
+def _level(a) -> tuple[object, None]:
+    return ",".join(str(w) for w in level(_int_arg(a.n, "N"))), None
+
+
+def _dot(a) -> tuple[object, None]:
+    return hasse_dot(_int_arg(a.n, "N")), None
+
+
+@dataclass(frozen=True)
+class Command:
+    """A point-query subcommand.
+
+    ``run`` maps the parsed arguments to ``(value, oracle)``: ``oracle`` is a
+    thunk that recomputes the value independently, called only under
+    ``--verify``, or None.  ``verify`` is the help of ``--verify`` (None: no
+    such flag) and ``capped`` adds ``--verify-cap``; ``text`` renders the value
+    for plain output.
+    """
+
+    help: str
+    run: Callable[[argparse.Namespace], tuple[object, Thunk | None]]
+    positionals: tuple[tuple[str, str], ...]
+    verify: str | None = None
+    capped: bool = False
+    text: Callable[[object], str] = str
+
+
+_ORACLE = "cross-check against the brute-force oracle"
+_X, _Y, _S = ("x", "lower word"), ("y", "upper word"), ("s", "number of up-steps")
+
+COMMANDS = {
+    "down": Command("count descending paths from Y to X", _down, (_X, _Y), _ORACLE, True),
+    "traj": Command(
+        "count paths with a given rank profile",
+        _traj,
+        (_X, _Y, ("delta", "trajectory, e.g. 3,2,1,2")),
+        _ORACLE,
+        True,
+    ),
+    "spaths": Command("count paths with exactly S up-steps", _spaths, (_X, _Y, _S), _ORACLE, True),
+    "f": Command(
+        "evaluate the lower weight function",
+        _f,
+        (("x", "word"), ("y", "second argument, 0..rank"), ("z", "third argument, 0..digits")),
+        "cross-check the evaluation modes",
+    ),
+    "xi": Command(
+        "alternating up-value sum over trajectories",
+        _xi,
+        (("x", "lower endpoint"), ("y", "upper endpoint"), _S, ("i", "shift")),
+        _ORACLE,
+        True,
+    ),
+    "level": Command(
+        "list all words of a given rank",
+        _level,
+        (("n", "rank"),),
+        text=lambda v: v.replace(",", "\n"),
+    ),
+    "dot": Command(
+        "emit the Hasse diagram up to a rank as DOT text", _dot, (("n", "rank cutoff"),)
+    ),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="yf", description="Exact path counts in the Young-Fibonacci graph")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, *positionals):
-        p = sub.add_parser(name, help=help_)
-        for pos_name, pos_help in positionals:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for pos_name, pos_help in command.positionals:
             p.add_argument(pos_name, help=pos_help)
         p.add_argument("--json", action="store_true", help="emit a single-line JSON result")
-        return p
-
-    p = add("down", "count descending paths from Y to X", ("x", "lower word"), ("y", "upper word"))
-    p.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
-    p.add_argument("--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP)
-
-    p = add(
-        "traj",
-        "count paths with a given rank profile",
-        ("x", "lower word"),
-        ("y", "upper word"),
-        ("delta", "trajectory, e.g. 3,2,1,2"),
-    )
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP)
-
-    p = add(
-        "spaths",
-        "count paths with exactly S up-steps",
-        ("x", "lower word"),
-        ("y", "upper word"),
-        ("s", "number of up-steps"),
-    )
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP)
-
-    p = add(
-        "f",
-        "evaluate the lower weight function",
-        ("x", "word"),
-        ("y", "second argument, 0..rank"),
-        ("z", "third argument, 0..digit count"),
-    )
-    p.add_argument("--mode", choices=("rec", "explicit", "base"), default="rec")
-    p.add_argument("--verify", action="store_true", help="cross-check the evaluation modes")
-
-    p = add(
-        "xi",
-        "alternating up-value sum over trajectories",
-        ("x", "lower endpoint"),
-        ("y", "upper endpoint"),
-        ("s", "number of up-steps"),
-        ("i", "shift"),
-    )
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP)
-
-    add("level", "list all words of a given rank", ("n", "rank"))
-
-    add("dot", "emit the Hasse diagram up to a rank as DOT text", ("n", "rank cutoff"))
+        if command.verify:
+            p.add_argument("--verify", action="store_true", help=command.verify)
+        if command.capped:
+            p.add_argument("--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP)
+    sub.choices["f"].add_argument("--mode", choices=("rec", "explicit", "base"), default="rec")
 
     p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
     p.add_argument("--max-rank", type=int, default=6)
@@ -300,164 +364,58 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _int_arg(text: str, name: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise CliError(f"{name} must be an integer, got {text!r}")
-    if value < 0:
-        raise CliError(f"{name} must be nonnegative, got {value}")
-    return value
-
-
-def _run_query(args: argparse.Namespace) -> tuple[QueryResult, int]:
-    command = args.command
+def _run_query(args: argparse.Namespace) -> int:
+    command = COMMANDS[args.command]
     start = time.perf_counter()
-    oracle_value: int | None = None
-    lines_extra: list[str] = []
-
-    if command == "down":
-        x, y = _word(args.x), _word(args.y)
-        if y.rank < x.rank:
-            raise CliError(f"rank({y}) = {y.rank} is below rank({x}) = {x.rank}")
-        value = counts.count_down(x, y)
-        raw_args = [args.x, args.y]
-        if args.verify:
-            _check_oracle_cap(y, args.verify_cap)
-            oracle_value = oracle.brute_count_down(x, y)
-    elif command == "traj":
-        x, y = _word(args.x), _word(args.y)
-        try:
-            t = parse_trajectory(args.delta)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        if y.rank < x.rank:
-            raise CliError(f"rank({y}) = {y.rank} is below rank({x}) = {x.rank}")
-        if t.start != y.rank or t.end != x.rank:
-            raise CliError(
-                f"trajectory runs {t.start} -> {t.end}, words need {y.rank} -> {x.rank}"
-            )
-        value = counts.count_trajectory(x, y, t)
-        raw_args = [args.x, args.y, args.delta]
-        if args.verify:
-            _check_oracle_cap(y, args.verify_cap)
-            oracle_value = oracle.brute_count_trajectory(x, y, t)
-    elif command == "spaths":
-        x, y = _word(args.x), _word(args.y)
-        s = _int_arg(args.s, "S")
-        if y.rank < x.rank:
-            raise CliError(f"rank({y}) = {y.rank} is below rank({x}) = {x.rank}")
-        value = counts.count_s_paths(x, y, s)
-        raw_args = [args.x, args.y, args.s]
-        if args.verify:
-            _check_oracle_cap(y, args.verify_cap)
-            if s > 4:
-                raise CliError("oracle verification capped at S <= 4")
-            oracle_value = oracle.brute_count_s(x, y, s)
-    elif command == "f":
-        x = _word(args.x)
-        y = _int_arg(args.y, "Y")
-        z = _int_arg(args.z, "Z")
-        if y > x.rank:
-            raise CliError(f"Y = {y} exceeds rank({x}) = {x.rank}")
-        if z > x.digit_count:
-            raise CliError(f"Z = {z} exceeds digit count of {x}")
-        if args.mode == "base":
-            if z != 0:
-                raise CliError("--mode base requires Z = 0")
-            value = f_base(x, y)
-        elif args.mode == "explicit":
-            value = f_explicit(x, y, z)
-        else:
-            value = f_rec(x, y, z)
-        raw_args = [args.x, args.y, args.z]
-        if args.verify:
-            other = f_rec(x, y, z) if args.mode != "rec" else f_explicit(x, y, z)
-            oracle_value = other
-    elif command == "xi":
-        X = _int_arg(args.x, "X")
-        Y = _int_arg(args.y, "Y")
-        s = _int_arg(args.s, "S")
-        i = _int_arg(args.i, "I")
-        if not Y >= X >= i:
-            raise CliError(f"need Y >= X >= I >= 0, got Y={Y}, X={X}, I={i}")
-        value = counts.xi(X, Y, s, i)
-        raw_args = [args.x, args.y, args.s, args.i]
-        if args.verify:
-            if Y > 8 or s > 5:
-                raise CliError("oracle verification capped at Y <= 8, S <= 5")
-            oracle_value = oracle.brute_xi(X, Y, s, i)
-    elif command == "level":
-        n = _int_arg(args.n, "N")
-        words = level(n)
-        value = ",".join(str(w) for w in words)
-        raw_args = [args.n]
-        lines_extra = [str(w) for w in words]
-    elif command == "dot":
-        n = _int_arg(args.n, "N")
-        value = hasse_dot(n)
-        raw_args = [args.n]
-        lines_extra = value.splitlines()
-    else:  # pragma: no cover - argparse restricts the choices
-        raise CliError(f"unknown command {command!r}")
-
-    millis = (time.perf_counter() - start) * 1000.0
-    agree = None if oracle_value is None else str(oracle_value) == str(value)
-    result = QueryResult(
-        command=command,
-        args=raw_args,
-        value=str(value),
-        oracle=None if oracle_value is None else str(oracle_value),
-        agree=agree,
-        millis=round(millis, 3),
-    )
+    value, check = command.run(args)
+    expected = check() if check is not None and args.verify else None
+    millis = round((time.perf_counter() - start) * 1000.0, 3)
+    agree = None if expected is None else expected == value
 
     if args.json:
-        print(result.to_json())
-    elif lines_extra:
-        print("\n".join(lines_extra))
+        raw = [getattr(args, name) for name, _ in command.positionals]
+        print(json.dumps(_result(args.command, raw, value, expected, agree, millis)))
     else:
-        print(result.value)
-        if result.oracle is not None:
-            tag = "agree" if result.agree else "DISAGREE"
-            print(f"oracle: {result.oracle} ({tag})")
-
-    if result.agree is False:
-        return result, EXIT_DISAGREE
-    return result, EXIT_OK
+        print(command.text(value))
+        if expected is not None:
+            print(f"oracle: {expected} ({'agree' if agree else 'DISAGREE'})")
+    return EXIT_DISAGREE if agree is False else EXIT_OK
 
 
 def _run_verify(args: argparse.Namespace) -> int:
     if args.max_rank < 0 or args.max_s < 0:
-        raise CliError("--max-rank and --max-S must be nonnegative")
+        raise ValueError("--max-rank and --max-S must be nonnegative")
     start = time.perf_counter()
     report = run_verification(args.max_rank, args.max_s)
     millis = round((time.perf_counter() - start) * 1000.0, 3)
+    summary = (
+        f"all {report.checks} checks passed"
+        if report.ok
+        else f"{len(report.failures)} of {report.checks} checks failed"
+    )
     if args.json:
-        summary = (
-            f"all {report.checks} checks passed"
-            if report.ok
-            else f"{len(report.failures)} of {report.checks} checks failed"
-        )
-        result = QueryResult(
-            command="verify",
-            args=[str(args.max_rank), str(args.max_s)],
-            value=summary,
-            oracle=None,
-            agree=report.ok,
-            millis=millis,
-        )
-        print(result.to_json())
+        verify_args = [str(args.max_rank), str(args.max_s)]
+        payload = _result("verify", verify_args, summary, agree=report.ok, millis=millis)
+        payload["sections"] = [
+            {
+                "name": s.name,
+                "checks": s.checks,
+                "failures": len(s.failures),
+                "skipped": s.skipped,
+                "caps": s.caps,
+            }
+            for s in report.sections
+        ]
+        print(json.dumps(payload))
     else:
         for section in report.sections:
             status = "ok" if not section.failures else f"{len(section.failures)} FAILED"
-            print(f"{section.name}: {section.checks} checks, {status}")
+            caps = ", ".join(f"{name} <= {cap}" for name, cap in section.caps.items())
+            skipped = f", {section.skipped} skipped" if section.skipped else ""
+            print(f"{section.name} ({caps}): {section.checks} checks{skipped}, {status}")
             for failure in section.failures[:10]:
                 print(f"  FAIL {failure}")
-        if report.ok:
-            print(f"all {report.checks} checks passed")
-        else:
-            print(f"{len(report.failures)} of {report.checks} checks failed")
+        print(summary)
     return EXIT_OK if report.ok else EXIT_DISAGREE
 
 
@@ -467,17 +425,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # Counts outgrow the int-to-str digit limit (Python >= 3.11); print them
+    # in full and put the interpreter's limit back afterwards.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        if args.command == "verify":
-            return _run_verify(args)
-        _, code = _run_query(args)
-        return code
-    except CliError as exc:
+        return _run_verify(args) if args.command == "verify" else _run_query(args)
+    except ValueError as exc:
         print(f"yf: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("yf: error: input too deep for the recursive f evaluator", file=sys.stderr)
         return EXIT_USAGE
     except InconsistencyError as exc:
         print(f"yf: internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

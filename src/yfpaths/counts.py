@@ -16,8 +16,9 @@ nonnegative integer before it is returned.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .functions import InconsistencyError, g_values, weight
 from .trajectories import Trajectory
@@ -44,39 +45,43 @@ def _as_count(total: Fraction, what: str) -> int:
     return value
 
 
+def _weighted_count(x: Word, y: Word, factor: Callable[[int], int], what: str) -> int:
+    """sum_{i=0}^{rank x} weight(x, y, i) * factor(i), checked to be a count.
+
+    All three counts share this shape; only the factor c_i differs.
+    """
+    if y.rank < x.rank:
+        raise ValueError(f"{what} needs rank({y}) >= rank({x})")
+    total = Fraction(0)
+    for i in range(x.rank + 1):
+        c = factor(i)
+        # a Fraction product costs as much as the addition: skip it for
+        # c_i = 1, which is every summand of count_down
+        total += weight(x, y, i) if c == 1 else weight(x, y, i) * c
+    return _as_count(total, what)
+
+
 def count_down(x: Word, y: Word) -> int:
     """Number of rank-decreasing paths from y down to x."""
-    if y.rank < x.rank:
-        raise ValueError(f"count_down needs rank({y}) >= rank({x})")
-    total = sum((weight(x, y, i) for i in range(x.rank + 1)), Fraction(0))
-    return _as_count(total, f"count_down({x}, {y})")
+    return _weighted_count(x, y, lambda i: 1, f"count_down({x}, {y})")
 
 
 def count_down_from_top(x: Word) -> int:
     """Number of descending paths from x to the empty word: prod_j g(x, j)."""
-    out = 1
-    for g in g_values(x):
-        out *= g
-    return out
+    return prod(g_values(x))
 
 
 def count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
     """Number of paths from y to x whose rank profile equals ``t``."""
-    if y.rank < x.rank:
-        raise ValueError(f"count_trajectory needs rank({y}) >= rank({x})")
     if t.start != y.rank or t.end != x.rank:
         raise ValueError(
             f"trajectory endpoints ({t.start}, {t.end}) do not match "
             f"ranks ({y.rank}, {x.rank})"
         )
     ups = t.up_values
-    total = Fraction(0)
-    for i in range(x.rank + 1):
-        factor = 1
-        for e in ups:
-            factor *= e - i
-        total += weight(x, y, i) * factor
-    return _as_count(total, f"count_trajectory({x}, {y}, {t})")
+    return _weighted_count(
+        x, y, lambda i: prod(e - i for e in ups), f"count_trajectory({x}, {y}, {t})"
+    )
 
 
 def odd_double_factorial(n: int) -> int:
@@ -120,14 +125,11 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
 
 def count_s_paths(x: Word, y: Word, S: int) -> int:
     """Number of paths from y to x with exactly S up-steps."""
-    if y.rank < x.rank:
-        raise ValueError(f"count_s_paths needs rank({y}) >= rank({x})")
     if S < 0:
         raise ValueError("S must be nonnegative")
-    total = Fraction(0)
-    for i in range(x.rank + 1):
-        total += weight(x, y, i) * xi(x.rank, y.rank, S, i)
-    return _as_count(total, f"count_s_paths({x}, {y}, {S})")
+    return _weighted_count(
+        x, y, lambda i: xi(x.rank, y.rank, S, i), f"count_s_paths({x}, {y}, {S})"
+    )
 
 
 def count_s_paths_from_top(x: Word, S: int) -> int:

@@ -6,7 +6,7 @@ Two scalar functions drive all path counts:
   formula at z = 0 plus a recursion in z (``f_base``, ``f_rec``), together
   with an unrolled closed form with O(rank) summands (``f_explicit``);
 * the *upper* function ``g(x, j)`` -- the j-th hook-like integer attached to
-  the j-th 2 from the right (``g_upper``).
+  the j-th 2 from the right (``g_values(x)[j - 1]``).
 
 Their combination ``weight(x, y, i) = f(x, i, h) * prod_j (g(y, j) - i)``,
 with h the common-suffix length, is the coefficient array of the counting
@@ -41,13 +41,6 @@ def g_values(x: Word) -> tuple[int, ...]:
             twos += 1
             vals.append(ones + 2 * twos - 1)
     return tuple(vals)
-
-
-def g_upper(x: Word, j: int) -> int:
-    vals = g_values(x)
-    if not 1 <= j <= len(vals):
-        raise ValueError(f"g index {j} out of range 1..{len(vals)} for {x}")
-    return vals[j - 1]
 
 
 def g_product(y: Word, i: int) -> int:

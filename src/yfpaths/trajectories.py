@@ -99,22 +99,13 @@ class PseudoTrajectory:
     up_count = Trajectory.up_count
 
 
-def make_trajectory(values) -> Trajectory:
-    """Validate a value sequence, reporting the first violated condition."""
-    return Trajectory(tuple(values))
-
-
 def parse_trajectory(text: str) -> Trajectory:
     """Parse the CLI text form: comma-separated integers, e.g. "3,2,1,2"."""
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"invalid trajectory {text!r}: expected comma-separated integers")
-    return make_trajectory(values)
-
-
-def up_values(t: Trajectory) -> tuple[int, ...]:
-    return t.up_values
+    return Trajectory(values)
 
 
 def reverse(t: Trajectory) -> Trajectory:

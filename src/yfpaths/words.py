@@ -72,15 +72,6 @@ def parse_word(text: str) -> Word:
     return Word(tuple(int(ch) for ch in text))
 
 
-def rank(w: Word) -> int:
-    return w.rank
-
-
-def stats(w: Word) -> tuple[int, int, int]:
-    """(digit count, number of 2s, number of 2s before the first 1)."""
-    return w.digit_count, w.twos, w.leading_twos
-
-
 def concat(x: Word, y: Word) -> Word:
     return Word(x.digits + y.digits)
 

@@ -1,10 +1,14 @@
 import json
+import sys
 
 import pytest
 
 import yfpaths.functions as functions
 import yfpaths.oracle as oracle
 from yfpaths.cli import hasse_dot, main, run_verification
+from yfpaths.counts import count_s_paths
+from yfpaths.trajectories import enumerate_trajectories
+from yfpaths.words import level, parse_word
 
 
 def run(capsys, *argv):
@@ -136,6 +140,57 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys)[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("traj", "e", "22", "3,2,1,0"),
+        ("spaths", "22", "e", "1"),
+        ("f", "12", "1", "9"),
+        ("f", "12", "9", "0", "--mode", "explicit"),
+        ("xi", "2", "3", "1", "3"),
+        ("level", "-1"),
+        ("dot", "-1"),
+    ],
+)
+def test_library_range_errors_exit_one(capsys, argv):
+    # the library raises ValueError for these; main reports it in one line
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("yf: error: ")
+    assert len(err.splitlines()) == 1
+
+
+def _parse_int_in_chunks(text):
+    # int(text) itself is subject to the interpreter's digit limit
+    value = 0
+    for i in range(0, len(text), 4000):
+        chunk = text[i:i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_huge_count_printed_in_full(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    code, out, _ = run(capsys, "spaths", "2121", "1212121", "4000", "--json")
+    assert code == 0
+    assert get_limit() == limit
+    value = json.loads(out)["value"]
+    assert len(value) == 13_908
+    want = count_s_paths(parse_word("2121"), parse_word("1212121"), 4000)
+    assert _parse_int_in_chunks(value) == want
+
+
+def test_too_deep_f_exits_one_without_traceback(capsys):
+    code, out, err = run(capsys, "f", "2" * 700, "700", "700")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "too deep" in err
+    assert "Traceback" not in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--max-rank", "4", "--max-S", "1")
     assert code == 0
@@ -148,6 +203,35 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload["agree"] is True
     assert "checks passed" in payload["value"]
+    sections = {s["name"]: s for s in payload["sections"]}
+    assert sum(s["checks"] for s in sections.values()) == int(payload["value"].split()[1])
+    assert all(s["failures"] == 0 and s["skipped"] == 0 for s in sections.values())
+    assert sections["down-paths"]["caps"] == {"rank": 3}
+    assert sections["trajectory-paths"]["caps"] == {"rank": 3, "S": 1, "length": 8}
+    assert sections["identity: hook factorial"]["caps"] == {"digits": 3}
+
+
+def test_verify_reports_caps_and_skipped(capsys):
+    code, out, _ = run(capsys, "verify", "--max-rank", "5", "--max-S", "3")
+    assert code == 0
+    lines = {line.split(" (")[0]: line for line in out.splitlines() if " (" in line}
+    # rank 4 with S = 3 reaches trajectories of length 4 + 2*3 > 8
+    too_long = sum(
+        t.length > 8
+        for ry in range(5)
+        for rx in range(ry + 1)
+        for _pair in range(len(level(ry)) * len(level(rx)))
+        for s in range(4)
+        for t in enumerate_trajectories(rx, ry, s)
+    )
+    assert too_long > 0
+    traj = lines["trajectory-paths"]
+    assert traj.startswith("trajectory-paths (rank <= 4, S <= 3, length <= 8): ")
+    assert traj.endswith(f" checks, {too_long} skipped, ok")
+    assert lines["s-paths"].startswith("s-paths (rank <= 5, S <= 3): ")
+    assert lines["up-value sums"].startswith("up-value sums (rank <= 5, S <= 3): ")
+    assert lines["identity: hook factorial"].startswith("identity: hook factorial (digits <= 5): ")
+    assert "skipped" not in lines["s-paths"]
 
 
 def test_verify_trivial_rank_zero(capsys):

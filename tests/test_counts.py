@@ -16,7 +16,7 @@ from yfpaths.counts import (
 )
 from yfpaths.functions import InconsistencyError
 from yfpaths.oracle import brute_count_s, brute_count_trajectory, brute_xi
-from yfpaths.trajectories import enumerate_trajectories, make_trajectory, reverse
+from yfpaths.trajectories import Trajectory, enumerate_trajectories, reverse
 from yfpaths.words import EPSILON, level, parse_word, predecessors
 
 
@@ -68,19 +68,19 @@ def test_trajectory_all_down_equals_down():
         for y in level(ry):
             for rx in range(ry + 1):
                 for x in level(rx):
-                    t = make_trajectory(tuple(range(ry, rx - 1, -1)))
+                    t = Trajectory(tuple(range(ry, rx - 1, -1)))
                     assert count_trajectory(x, y, t) == count_down(x, y)
 
 
 def test_trajectory_base_cases():
-    assert count_trajectory(w("12"), w("12"), make_trajectory((3,))) == 1
-    assert count_trajectory(EPSILON, EPSILON, make_trajectory((0, 1, 0))) == 1
-    assert count_trajectory(w("1"), w("1"), make_trajectory((1, 0, 1))) == 1
+    assert count_trajectory(w("12"), w("12"), Trajectory((3,))) == 1
+    assert count_trajectory(EPSILON, EPSILON, Trajectory((0, 1, 0))) == 1
+    assert count_trajectory(w("1"), w("1"), Trajectory((1, 0, 1))) == 1
 
 
 def test_trajectory_endpoint_mismatch():
     with pytest.raises(ValueError):
-        count_trajectory(EPSILON, w("1"), make_trajectory((2, 1, 0)))
+        count_trajectory(EPSILON, w("1"), Trajectory((2, 1, 0)))
 
 
 def test_trajectory_vs_oracle_small():

@@ -9,7 +9,6 @@ from yfpaths.functions import (
     f_explicit_terms,
     f_rec,
     g_product,
-    g_upper,
     g_values,
     weight,
 )
@@ -28,19 +27,19 @@ def test_g_values():
     assert g_values(w("111")) == ()
     assert g_values(w("22")) == (1, 3)
     assert g_values(w("122112")) == (1, 5, 7)
-    assert g_upper(w("22"), 2) == 3
+    assert g_values(w("22"))[2 - 1] == 3
 
 
 def test_g_trailing_two_is_one():
     for tail in ("2", "12", "1212", "11122"):
-        assert g_upper(w(tail), 1) == 1
+        assert g_values(w(tail))[1 - 1] == 1
 
 
 def test_g_index_range():
-    with pytest.raises(ValueError):
-        g_upper(w("111"), 1)
-    with pytest.raises(ValueError):
-        g_upper(w("22"), 3)
+    with pytest.raises(IndexError):
+        g_values(w("111"))[1 - 1]
+    with pytest.raises(IndexError):
+        g_values(w("22"))[3 - 1]
 
 
 def test_g_product():

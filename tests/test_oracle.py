@@ -6,7 +6,7 @@ from yfpaths.oracle import (
     brute_count_trajectory,
     brute_xi,
 )
-from yfpaths.trajectories import enumerate_trajectories, make_trajectory, reverse
+from yfpaths.trajectories import Trajectory, enumerate_trajectories, reverse
 from yfpaths.words import EPSILON, level, parse_word
 
 
@@ -43,12 +43,12 @@ def test_trajectory_all_down_matches_down():
         for y in level(ry):
             for rx in range(ry + 1):
                 for x in level(rx):
-                    t = make_trajectory(tuple(range(ry, rx - 1, -1)))
+                    t = Trajectory(tuple(range(ry, rx - 1, -1)))
                     assert brute_count_trajectory(x, y, t) == brute_count_down(x, y)
 
 
 def test_trajectory_epsilon_bounce():
-    assert brute_count_trajectory(EPSILON, EPSILON, make_trajectory((0, 1, 0))) == 1
+    assert brute_count_trajectory(EPSILON, EPSILON, Trajectory((0, 1, 0))) == 1
 
 
 def test_trajectory_reversal_symmetry():
@@ -64,7 +64,7 @@ def test_trajectory_reversal_symmetry():
 
 def test_trajectory_endpoint_mismatch():
     with pytest.raises(ValueError):
-        brute_count_trajectory(EPSILON, w("1"), make_trajectory((2, 1, 0)))
+        brute_count_trajectory(EPSILON, w("1"), Trajectory((2, 1, 0)))
 
 
 def test_s_zero_matches_down():

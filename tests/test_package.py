@@ -1,0 +1,62 @@
+import ast
+import re
+from pathlib import Path
+
+import yfpaths
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_public_api():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Public API", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for line in section.splitlines():
+        if re.match(r"\* \w+: ", line):
+            names += re.findall(r"`(\w+)`", line)
+    return names
+
+
+def test_public_names_resolve():
+    for name in yfpaths.__all__:
+        assert getattr(yfpaths, name) is not None, name
+
+
+def test_public_names_match_readme():
+    assert yfpaths.__all__ == readme_public_api()
+
+
+def package_imports(tree):
+    """Submodules of yfpaths that a module imports; "" for the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "yfpaths":
+                    yield alias.name.partition(".")[2]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "yfpaths":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                yield module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_oracle_imports_no_formula_machinery():
+    # agreement with the oracle is evidence only while the oracle stays
+    # independent of the functions and counts it checks
+    tree = ast.parse((ROOT / "src" / "yfpaths" / "oracle.py").read_text())
+    imported = set(package_imports(tree))
+    assert imported
+    assert imported <= {"words", "trajectories"}
+
+
+def test_package_imports_parser():
+    tree = ast.parse(
+        "import yfpaths\nimport yfpaths.counts\nfrom . import functions\n"
+        "from .words import Word\nfrom yfpaths.cli import main\nimport json\n"
+    )
+    assert sorted(package_imports(tree)) == ["", "cli", "counts", "functions", "words"]

@@ -10,7 +10,6 @@ from yfpaths.trajectories import (
     enumerate_trajectories,
     good_sequence_violation,
     is_good_sequence,
-    make_trajectory,
     parse_trajectory,
     reverse,
     trajectory_from_sequence,
@@ -21,7 +20,7 @@ EXAMPLE = (3, 2, 1, 2, 1, 0, 1, 2, 1, 2, 3, 2, 1, 0, 1)
 
 
 def test_worked_example_statistics():
-    t = make_trajectory(EXAMPLE)
+    t = Trajectory(EXAMPLE)
     assert t.length == 14
     assert t.up_count == 6
     assert t.up_positions == (3, 6, 7, 9, 10, 14)
@@ -30,22 +29,22 @@ def test_worked_example_statistics():
 
 
 def test_length_zero_trajectory():
-    t = make_trajectory((3,))
+    t = Trajectory((3,))
     assert t.length == 0 and t.up_count == 0 and t.up_values == ()
 
 
 def test_single_up_step():
-    assert make_trajectory((0, 1)).up_values == (1,)
-    assert make_trajectory((5, 4, 3, 2)).up_values == ()
+    assert Trajectory((0, 1)).up_values == (1,)
+    assert Trajectory((5, 4, 3, 2)).up_values == ()
 
 
 def test_validation_errors():
     with pytest.raises(ValueError, match="step"):
-        make_trajectory((2, 0))
+        Trajectory((2, 0))
     with pytest.raises(ValueError, match="negative"):
-        make_trajectory((0, -1))
+        Trajectory((0, -1))
     with pytest.raises(ValueError):
-        make_trajectory(())
+        Trajectory(())
 
 
 def test_parse_trajectory():
@@ -55,13 +54,13 @@ def test_parse_trajectory():
 
 
 def test_reverse():
-    t = make_trajectory((1, 0, 1))
+    t = Trajectory((1, 0, 1))
     assert reverse(t) == t
-    t2 = make_trajectory((2, 1, 2, 3, 2))
+    t2 = Trajectory((2, 1, 2, 3, 2))
     assert reverse(reverse(t2)) == t2
     assert reverse(t2).up_multiset == t2.up_multiset
     with pytest.raises(ValueError):
-        reverse(make_trajectory((2, 1)))
+        reverse(Trajectory((2, 1)))
 
 
 def test_reverse_preserves_up_multiset():

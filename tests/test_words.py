@@ -9,7 +9,6 @@ from yfpaths.words import (
     level,
     parse_word,
     predecessors,
-    stats,
     start1,
     start2,
     successors,
@@ -55,10 +54,14 @@ def test_rank():
     assert w("122112").rank == 9
 
 
+def word_stats(x):
+    return x.digit_count, x.twos, x.leading_twos
+
+
 def test_stats():
-    assert stats(w("2221")) == (4, 3, 3)
-    assert stats(w("1221")) == (4, 2, 0)
-    assert stats(w("222")) == (3, 3, 3)
+    assert word_stats(w("2221")) == (4, 3, 3)
+    assert word_stats(w("1221")) == (4, 2, 0)
+    assert word_stats(w("222")) == (3, 3, 3)
 
 
 def test_predecessors_ordered():
