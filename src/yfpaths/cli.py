@@ -72,6 +72,7 @@ class VerifySection:
     checks: int = 0
     skipped: int = 0
     failures: list[str] = field(default_factory=list)
+    millis: float = 0.0
 
     def compare(self, label: str, formula: Callable, brute: Callable, *args) -> None:
         """One check of ``formula(*args)`` against ``brute(*args)``; an
@@ -105,6 +106,10 @@ class VerifyReport:
         return not self.failures
 
 
+def _millis(seconds: float) -> float:
+    return round(seconds * 1000.0, 3)
+
+
 def _word_pairs(max_rank: int):
     levels = [level(n) for n in range(max_rank + 1)]
     for ry in range(max_rank + 1):
@@ -124,14 +129,24 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
     and S-path checks run on smaller rank caps (their oracles walk every
     path) with up-step counts bounded by ``max_s``; trajectories longer
     than ``TRAJ_LENGTH_CAP`` are counted as skipped.  Every section records
-    the caps it ran under.
+    the caps it ran under and its wall-clock time.
     """
     sections: list[VerifySection] = []
+    clock = time.perf_counter()
+
+    def close(sec: VerifySection) -> None:
+        # sections run one after another: each one's time is the time since
+        # the previous one closed
+        nonlocal clock
+        now = time.perf_counter()
+        sec.millis = _millis(now - clock)
+        clock = now
+        sections.append(sec)
 
     sec = VerifySection("down-paths", {"rank": max_rank})
     for x, y in _word_pairs(max_rank):
         sec.compare("({}, {})", counts.count_down, oracle.brute_count_down, x, y)
-    sections.append(sec)
+    close(sec)
 
     sec = VerifySection("down-from-top", {"rank": max_rank})
     for n in range(max_rank + 1):
@@ -145,7 +160,7 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
                 continue
             if got != full or got != oracle.brute_count_down(EPSILON, x):
                 sec.failures.append(f"({x}): closed form {got} disagrees")
-    sections.append(sec)
+    close(sec)
 
     traj_rank = min(max_rank, 4)
     sec = VerifySection(
@@ -159,14 +174,14 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
                     continue
                 label = "({}, {}, {})"
                 sec.compare(label, counts.count_trajectory, oracle.brute_count_trajectory, x, y, t)
-    sections.append(sec)
+    close(sec)
 
     spath_rank = min(max_rank, 5)
     sec = VerifySection("s-paths", {"rank": spath_rank, "S": max_s})
     for x, y in _word_pairs(spath_rank):
         for s in range(max_s + 1):
             sec.compare("({}, {}, S={})", counts.count_s_paths, oracle.brute_count_s, x, y, s)
-    sections.append(sec)
+    close(sec)
 
     xi_rank = min(max_rank, 6)
     sec = VerifySection("up-value sums", {"rank": xi_rank, "S": max_s})
@@ -176,12 +191,12 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
                 for i in range(X + 1):
                     label = "(X={}, Y={}, S={}, i={})"
                     sec.compare(label, counts.xi, oracle.brute_xi, X, Y, s, i)
-    sections.append(sec)
+    close(sec)
 
     digits = min(max_rank, 6)
-    for name, checks, failures in invariants.run_invariant_suites(digits):
-        caps = {"digits": digits}
-        sections.append(VerifySection(f"identity: {name}", caps, checks, failures=failures))
+    for suite in invariants.INVARIANT_SUITES:
+        [(name, checks, failures)] = invariants.run_invariant_suites(digits, [suite])
+        close(VerifySection(f"identity: {name}", {"digits": digits}, checks, failures=failures))
 
     degree_rank = min(max_rank, 8)
     sec = VerifySection("out-degree = in-degree + 1", {"rank": degree_rank})
@@ -190,7 +205,7 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
             sec.checks += 1
             if len(successors(w)) != len(predecessors(w)) + 1:
                 sec.failures.append(f"degree mismatch at {w}")
-    sections.append(sec)
+    close(sec)
 
     return VerifyReport(sections)
 
@@ -273,7 +288,9 @@ def _xi(a) -> tuple[object, Thunk]:
     s, i = _int_arg(a.s, "S"), _int_arg(a.i, "I")
     return (
         counts.xi(X, Y, s, i),
-        lambda: oracle.brute_xi(X, _capped("Y", Y, 8), _capped("S", s, 5), i),
+        lambda: oracle.brute_xi(
+            X, _capped("Y", Y, min(8, a.verify_cap)), _capped("S", s, 5), i
+        ),
     )
 
 
@@ -369,7 +386,7 @@ def _run_query(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     value, check = command.run(args)
     expected = check() if check is not None and args.verify else None
-    millis = round((time.perf_counter() - start) * 1000.0, 3)
+    millis = _millis(time.perf_counter() - start)
     agree = None if expected is None else expected == value
 
     if args.json:
@@ -387,7 +404,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise ValueError("--max-rank and --max-S must be nonnegative")
     start = time.perf_counter()
     report = run_verification(args.max_rank, args.max_s)
-    millis = round((time.perf_counter() - start) * 1000.0, 3)
+    millis = _millis(time.perf_counter() - start)
     summary = (
         f"all {report.checks} checks passed"
         if report.ok
@@ -403,6 +420,7 @@ def _run_verify(args: argparse.Namespace) -> int:
                 "failures": len(s.failures),
                 "skipped": s.skipped,
                 "caps": s.caps,
+                "millis": s.millis,
             }
             for s in report.sections
         ]
@@ -412,7 +430,10 @@ def _run_verify(args: argparse.Namespace) -> int:
             status = "ok" if not section.failures else f"{len(section.failures)} FAILED"
             caps = ", ".join(f"{name} <= {cap}" for name, cap in section.caps.items())
             skipped = f", {section.skipped} skipped" if section.skipped else ""
-            print(f"{section.name} ({caps}): {section.checks} checks{skipped}, {status}")
+            print(
+                f"{section.name} ({caps}): {section.millis} ms, "
+                f"{section.checks} checks{skipped}, {status}"
+            )
             for failure in section.failures[:10]:
                 print(f"  FAIL {failure}")
         print(summary)

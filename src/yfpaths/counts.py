@@ -45,13 +45,17 @@ def _as_count(total: Fraction, what: str) -> int:
     return value
 
 
+def _check_order(x: Word, y: Word, what: str) -> None:
+    if y.rank < x.rank:
+        raise ValueError(f"{what} needs rank({y}) >= rank({x})")
+
+
 def _weighted_count(x: Word, y: Word, factor: Callable[[int], int], what: str) -> int:
     """sum_{i=0}^{rank x} weight(x, y, i) * factor(i), checked to be a count.
 
     All three counts share this shape; only the factor c_i differs.
     """
-    if y.rank < x.rank:
-        raise ValueError(f"{what} needs rank({y}) >= rank({x})")
+    _check_order(x, y, what)
     total = Fraction(0)
     for i in range(x.rank + 1):
         c = factor(i)
@@ -103,6 +107,33 @@ def xi_zero(Y: int, S: int) -> int:
     return comb(Y + 2 * S, Y) * odd_double_factorial(2 * S - 1)
 
 
+def _odd_table(S: int, m: int) -> list[int]:
+    """odd[k] = (2k - 1)!! for k <= m and for S - m <= k <= S (0 elsewhere).
+
+    One pass of the recurrence (2k - 1)!! = (2k - 1) * (2k - 3)!!; only the
+    ends that the alternating sum reads are kept, so memory stays O(m) big
+    integers however large S is.
+    """
+    odd = [0] * (S + 1)
+    odd[0] = value = 1
+    for k in range(1, S + 1):
+        value *= 2 * k - 1
+        if k <= m or k >= S - m:
+            odd[k] = value
+    return odd
+
+
+def _xi_sum(X: int, Y: int, S: int, odd: list[int]) -> int:
+    """xi(X, Y, S, 0) for Y >= X >= 0: the alternating sum over k of
+    C(X, 2k) * (2k - 1)!! * xi_zero(Y, S - k), reading (2j - 1)!! from
+    ``odd[j]`` (an :func:`_odd_table` for S and at least X // 2)."""
+    total = 0
+    for k in range(min(X // 2, S) + 1):
+        term = comb(X, 2 * k) * odd[k] * comb(Y + 2 * (S - k), Y) * odd[S - k]
+        total += -term if k % 2 else term
+    return total
+
+
 def xi(X: int, Y: int, S: int, i: int = 0) -> int:
     """Sum over trajectories from Y to X with S up-steps of prod_j (e_j - i).
 
@@ -113,23 +144,22 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
         raise ValueError(f"xi needs Y >= X >= i >= 0, got ({X}, {Y}, {S}, {i})")
     if S < 0:
         raise ValueError("S must be nonnegative")
-    X -= i
-    Y -= i
-    m = min(X // 2, S)
-    total = 0
-    for k in range(m + 1):
-        term = comb(X, 2 * k) * odd_double_factorial(2 * k - 1) * xi_zero(Y, S - k)
-        total += -term if k % 2 else term
-    return total
+    return _xi_sum(X - i, Y - i, S, _odd_table(S, (X - i) // 2))
+
+
+def _xi_row(X: int, Y: int, S: int) -> list[int]:
+    """[xi(X, Y, S, i) for i in 0..X], all from one double-factorial table."""
+    odd = _odd_table(S, X // 2)
+    return [_xi_sum(X - i, Y - i, S, odd) for i in range(X + 1)]
 
 
 def count_s_paths(x: Word, y: Word, S: int) -> int:
     """Number of paths from y to x with exactly S up-steps."""
     if S < 0:
         raise ValueError("S must be nonnegative")
-    return _weighted_count(
-        x, y, lambda i: xi(x.rank, y.rank, S, i), f"count_s_paths({x}, {y}, {S})"
-    )
+    what = f"count_s_paths({x}, {y}, {S})"
+    _check_order(x, y, what)  # the row needs rank(y) >= rank(x)
+    return _weighted_count(x, y, _xi_row(x.rank, y.rank, S).__getitem__, what)
 
 
 def count_s_paths_from_top(x: Word, S: int) -> int:

@@ -176,5 +176,8 @@ INVARIANT_SUITES: list[tuple[str, Callable[[int], CheckResult]]] = [
 ]
 
 
-def run_invariant_suites(max_digits: int) -> list[tuple[str, int, list[str]]]:
-    return [(name, *fn(max_digits)) for name, fn in INVARIANT_SUITES]
+def run_invariant_suites(
+    max_digits: int, suites: list[tuple[str, Callable[[int], CheckResult]]] = INVARIANT_SUITES
+) -> list[tuple[str, int, list[str]]]:
+    """(name, checks, failures) of each suite, by default all of them."""
+    return [(name, *fn(max_digits)) for name, fn in suites]

@@ -83,6 +83,13 @@ def test_xi_command(capsys):
     assert code == 0 and "agree" in out
 
 
+def test_xi_verify_cap_limits_y(capsys):
+    code, out, err = run(capsys, "xi", "2", "8", "1", "0", "--verify", "--verify-cap", "1")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["yf: error: oracle verification capped at Y <= 1, got 8"]
+
+
 def test_level(capsys):
     code, out, _ = run(capsys, "level", "3")
     assert code == 0
@@ -209,6 +216,7 @@ def test_verify_json(capsys):
     assert sections["down-paths"]["caps"] == {"rank": 3}
     assert sections["trajectory-paths"]["caps"] == {"rank": 3, "S": 1, "length": 8}
     assert sections["identity: hook factorial"]["caps"] == {"digits": 3}
+    assert all(isinstance(s["millis"], float) and s["millis"] >= 0 for s in sections.values())
 
 
 def test_verify_reports_caps_and_skipped(capsys):
@@ -232,6 +240,7 @@ def test_verify_reports_caps_and_skipped(capsys):
     assert lines["up-value sums"].startswith("up-value sums (rank <= 5, S <= 3): ")
     assert lines["identity: hook factorial"].startswith("identity: hook factorial (digits <= 5): ")
     assert "skipped" not in lines["s-paths"]
+    assert all(" ms, " in line.split("): ", 1)[1] for line in lines.values())
 
 
 def test_verify_trivial_rank_zero(capsys):

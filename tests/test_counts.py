@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 
 from yfpaths.counts import (
     _as_count,
+    _xi_row,
     count_down,
     count_down_from_top,
     count_s_paths,
@@ -17,7 +19,7 @@ from yfpaths.counts import (
 from yfpaths.functions import InconsistencyError
 from yfpaths.oracle import brute_count_s, brute_count_trajectory, brute_xi
 from yfpaths.trajectories import Trajectory, enumerate_trajectories, reverse
-from yfpaths.words import EPSILON, level, parse_word, predecessors
+from yfpaths.words import EPSILON, Word, level, parse_word, predecessors, successors
 
 
 def w(text):
@@ -251,3 +253,38 @@ def test_xi_zero_recurrences():
             assert xi_zero(Y, S) == xi_zero(Y - 1, S) + (Y + 1) * xi_zero(Y + 1, S - 1)
     for S in range(1, 5):
         assert xi_zero(0, S) == xi_zero(1, S - 1)
+
+
+@pytest.mark.parametrize("S", [0, 1, 200, 600])
+@pytest.mark.parametrize(
+    "X, Y", [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80, 160)]
+)
+def test_xi_row_matches_xi(X, Y, S):
+    # the row shares one double-factorial table across all shifts i; each
+    # xi call builds its own
+    row = _xi_row(X, Y, S)
+    assert row == [xi(X, Y, S, i) for i in range(X + 1)]
+    # the last shift is the closed form, whose (2S - 1)!! is computed apart
+    assert row[X] == xi_zero(Y - X, S)
+
+
+def _random_word(rng, rank):
+    digits = []
+    while rank:
+        digit = rng.choice((1, 2)) if rank >= 2 else 1
+        digits.append(digit)
+        rank -= digit
+    return Word(tuple(digits))
+
+
+@pytest.mark.parametrize("rx, ry, S", [(30, 45, 200), (60, 100, 400), (40, 41, 600)])
+def test_s_paths_first_step_split_at_scale(rx, ry, S):
+    # every S-path from y to x starts with a down-step to a predecessor or an
+    # up-step to a successor; holds far past the oracle's reach
+    rng = random.Random(rx * 1000 + ry)
+    x, y = _random_word(rng, rx), _random_word(rng, ry)
+    down = sum(count_s_paths(x, p, S) for p in predecessors(y))
+    up = sum(count_s_paths(x, s, S - 1) for s in successors(y))
+    total = count_s_paths(x, y, S)
+    assert total > 0
+    assert total == down + up
