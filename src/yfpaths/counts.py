@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
-from .functions import InconsistencyError, g_values, weight
+from .functions import InconsistencyError, g_values, weight_row
 from .trajectories import Trajectory
 from .words import Word
 
@@ -36,10 +36,11 @@ __all__ = [
 ]
 
 
-def _as_count(total: Fraction, what: str) -> int:
-    if total.denominator != 1:
-        raise InconsistencyError(f"{what} evaluated to non-integer {total}")
-    value = total.numerator
+def _as_count(total: int | Fraction, what: str, scale: int = 1) -> int:
+    """total / scale, checked to be a nonnegative integer."""
+    value, rest = divmod(total, scale)
+    if rest:
+        raise InconsistencyError(f"{what} evaluated to non-integer {Fraction(total, scale)}")
     if value < 0:
         raise InconsistencyError(f"{what} evaluated to negative {value}")
     return value
@@ -53,16 +54,13 @@ def _check_order(x: Word, y: Word, what: str) -> None:
 def _weighted_count(x: Word, y: Word, factor: Callable[[int], int], what: str) -> int:
     """sum_{i=0}^{rank x} weight(x, y, i) * factor(i), checked to be a count.
 
-    All three counts share this shape; only the factor c_i differs.
+    All three counts share this shape; only the factor c_i differs.  The sum
+    runs over the integer row rank(x)! * weight and is divided by rank(x)!
+    once, at the end; ``factor`` is called only where the weight is nonzero.
     """
     _check_order(x, y, what)
-    total = Fraction(0)
-    for i in range(x.rank + 1):
-        c = factor(i)
-        # a Fraction product costs as much as the addition: skip it for
-        # c_i = 1, which is every summand of count_down
-        total += weight(x, y, i) if c == 1 else weight(x, y, i) * c
-    return _as_count(total, what)
+    total = sum(w * factor(i) for i, w in enumerate(weight_row(x, y)) if w)
+    return _as_count(total, what, factorial(x.rank))
 
 
 def count_down(x: Word, y: Word) -> int:

@@ -10,13 +10,16 @@ Two scalar functions drive all path counts:
 
 Their combination ``weight(x, y, i) = f(x, i, h) * prod_j (g(y, j) - i)``,
 with h the common-suffix length, is the coefficient array of the counting
-formulas.  Everything is exact: values are ``fractions.Fraction``.
+formulas.  Everything is exact: values are ``fractions.Fraction``, except
+``weight_row``, which gives rank(x)! * weight(x, y, i) for every i as plain
+integers for the counts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial, prod
 
 from .words import Word, common_suffix_len, start1, start2, suffix_sum
 
@@ -92,21 +95,58 @@ def f_base(x: Word, y: int) -> Fraction:
     return Fraction(1, den)
 
 
-@lru_cache(maxsize=None)
+def _chain(digits: tuple[int, ...], y: int, z: int, term: int) -> int:
+    """The sum of the f_base terms that the recursion for f(digits, y, z) adds,
+    each scaled by one common factor chosen so that the first one is ``term``.
+
+    The recursion adds f_base at each state and strips a trailing 1 (y and z
+    drop by one), or rewrites a trailing 2 as 11 with z one deeper and the
+    result divided by (1 - y); it stops at z = 0 or y = 0, or gives 0 at a
+    trailing 2 with y = 1.  Between consecutive states the scaled term
+    changes by a small factor (the append-1 and append-2 identities of
+    :mod:`yfpaths.invariants`): after a 1 it is multiplied by -y; a 2 first
+    divides it by (1 - y)^2, then takes two 1-steps.  The caller's scale
+    must make every term an integer; each divide checks that it is exact.
+    """
+    total = 0
+    for d in reversed(digits[len(digits) - z:]):  # the last z digits, right to left
+        if y == 0:
+            break
+        if d == 1:
+            total += term
+            term *= -y
+            y -= 1
+        elif y == 1:
+            return total
+        else:
+            term, rest = divmod(term, (1 - y) ** 2)
+            if rest:
+                raise InconsistencyError(f"inexact chain step at a 2 with y={y}")
+            total += term
+            term *= -y
+            total += term
+            term *= 1 - y
+            y -= 2
+    return total + term
+
+
+@lru_cache(maxsize=1 << 15)
 def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
     x = Word(digits)
-    if z == 0 or y == 0:
-        return f_base(x, y)
-    if digits[-1] == 1:
-        return f_base(x, y) + _f_rec(digits[:-1], y - 1, z - 1)
-    if y == 1:
-        return Fraction(0)
-    # trailing 2: rewrite as the word ending 11, one step deeper in z
-    return _f_rec(digits[:-1] + (1, 1), y, z + 1) / (1 - y)
+    # at each 2 it reaches, with y' its current y, the chain divides by
+    # (1 - y')^2 = (g - y)^2: one factor comes out of f_base's denominator,
+    # the other out of this prod; a 2 with g = y ends the chain, so it is
+    # left out
+    scale = factorial(x.rank) * prod(g - y for g in g_values(x) if g != y)
+    start = f_base(x, y) * scale
+    if start.denominator != 1:
+        raise InconsistencyError(f"f_base({x}, {y}) * {x.rank}! is not an integer")
+    return Fraction(_chain(digits, y, z, start.numerator), scale)
 
 
 def f_rec(x: Word, y: int, z: int) -> Fraction:
-    """f(x, y, z) by the defining recursion (memoized)."""
+    """f(x, y, z) by the defining recursion, unrolled into one iterative chain
+    (bounded memo)."""
     _validate_key(x, y, z)
     return _f_rec(x.digits, y, z)
 
@@ -167,6 +207,45 @@ def weight(x: Word, y: Word, i: int) -> Fraction:
     if not 0 <= i <= x.rank:
         raise ValueError(f"weight argument i={i} out of range 0..{x.rank}")
     return f_rec(x, i, common_suffix_len(x, y)) * g_product(y, i)
+
+
+def _base_row(digits: tuple[int, ...]) -> dict[int, int]:
+    """{i: rank! * f_base(x, i)} for the i where f_base(x, i) is nonzero.
+
+    f_base is a Lagrange weight on the suffix digit sums s of x (0 and rank
+    included): f_base(x, i) = 1 / prod_{s != i} (s - i) when i is one of them
+    and 0 otherwise.  Scaled by rank! this is the integer
+    (-1)^i C(rank, i) prod (m - i) over the m in 0..rank that are not suffix
+    sums.  Hot path only: :func:`f_base` keeps the partial-sum product.
+    """
+    sums = [0]
+    for d in reversed(digits):
+        sums.append(sums[-1] + d)
+    rank = sums[-1]
+    missing = set(range(rank + 1)).difference(sums)
+    return {
+        i: (-1) ** i * comb(rank, i) * prod(m - i for m in missing) for i in sums
+    }
+
+
+def weight_row(x: Word, y: Word) -> list[int]:
+    """[rank(x)! * weight(x, y, i) for i in 0..rank(x)], as exact integers.
+
+    Each entry is one chain (see :func:`_chain`) started from
+    rank! * f_base(x, i) * g_product(y, i).  The chain walks the common
+    suffix, where g(y, j) = g(x, j), so each 2 it meets divides out one
+    factor g - i of the product and one of the base's denominator.
+    """
+    if y.rank < x.rank:
+        raise ValueError(f"weight_row requires rank({y}) >= rank({x})")
+    gs = g_values(y)
+    h = common_suffix_len(x, y)
+    row = [0] * (x.rank + 1)
+    for i, base in _base_row(x.digits).items():
+        start = base * prod(g - i for g in gs)
+        if start:
+            row[i] = _chain(x.digits, i, h, start)
+    return row
 
 
 def clear_caches() -> None:

@@ -14,6 +14,11 @@ from .trajectories import Trajectory, enumerate_trajectories
 from .words import Word, predecessors, successors
 
 
+# well inside the interpreter's recursion limit, which counts two frames per
+# rank of _down (the call and its generator)
+_MAX_NESTING = 100
+
+
 @lru_cache(maxsize=None)
 def _down(x: Word, y: Word) -> int:
     if y.rank == x.rank:
@@ -22,9 +27,21 @@ def _down(x: Word, y: Word) -> int:
 
 
 def brute_count_down(x: Word, y: Word) -> int:
-    """Descending path count by direct recursion over predecessors."""
+    """Descending path count by direct recursion over predecessors.
+
+    The recursion nests one call per rank.  Past ``_MAX_NESTING`` ranks the
+    memo is first filled from the bottom up, level by level below y, so that
+    no call nests deeper than one level.
+    """
     if y.rank < x.rank:
         raise ValueError(f"brute_count_down needs rank({y}) >= rank({x})")
+    if y.rank - x.rank > _MAX_NESTING:
+        levels = [{y}]
+        for _ in range(y.rank - x.rank):
+            levels.append({p for w in levels[-1] for p in predecessors(w)})
+        for level in reversed(levels):
+            for w in level:
+                _down(x, w)
     return _down(x, y)
 
 

@@ -3,10 +3,12 @@ import sys
 
 import pytest
 
+import yfpaths.cli as cli
 import yfpaths.functions as functions
 import yfpaths.oracle as oracle
 from yfpaths.cli import hasse_dot, main, run_verification
 from yfpaths.counts import count_s_paths
+from yfpaths.functions import f_explicit
 from yfpaths.trajectories import enumerate_trajectories
 from yfpaths.words import level, parse_word
 
@@ -189,13 +191,44 @@ def test_huge_count_printed_in_full(capsys):
     assert _parse_int_in_chunks(value) == want
 
 
-def test_too_deep_f_exits_one_without_traceback(capsys):
-    code, out, err = run(capsys, "f", "2" * 700, "700", "700")
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "too deep" in err
-    assert "Traceback" not in err
+def test_deep_f_answers_exactly(capsys):
+    # the chain is iterative: seven hundred 2s get an exact value, equal to
+    # the closed form's
+    x = parse_word("2" * 700)
+    code, out, err = run(capsys, "f", str(x), "700", "700")
+    assert code == 0
+    assert err == ""
+    assert out.strip() == str(f_explicit(x, 700, 700))
+
+
+def test_deep_down_verify_with_raised_cap(capsys):
+    code, out, err = run(capsys, "down", "e", "1" * 600, "--verify", "--verify-cap", "600")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == ["1", "oracle: 1 (agree)"]
+
+
+@pytest.mark.parametrize(
+    "command, cap", [("level", cli.LEVEL_RANK_CAP), ("dot", cli.DOT_RANK_CAP)]
+)
+def test_level_and_dot_rank_caps(capsys, monkeypatch, command, cap):
+    asked = []
+
+    def fake_level(n):
+        asked.append(n)
+        return []
+
+    monkeypatch.setattr(cli, "level", fake_level)
+    # past the cap: one error line, and no level is built
+    for n in (cap + 1, 1000):
+        code, out, err = run(capsys, command, str(n))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"yf: error: N must be at most {cap}, got {n}"]
+    assert asked == []
+    # the cap itself is accepted
+    assert run(capsys, command, str(cap))[0] == 0
+    assert max(asked) == cap
 
 
 def test_verify_passes(capsys):

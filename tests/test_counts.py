@@ -288,3 +288,33 @@ def test_s_paths_first_step_split_at_scale(rx, ry, S):
     total = count_s_paths(x, y, S)
     assert total > 0
     assert total == down + up
+
+
+def _suffix_pair(rx, ry):
+    rng = random.Random(rx * 1000 + ry)
+    x = _random_word(rng, rx)
+    return x, Word(_random_word(rng, ry - rx).digits + x.digits)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [_suffix_pair(150, 300), _suffix_pair(200, 400), (Word((1,) * 400), Word((1,) * 500))],
+)
+def test_down_graph_recursion_at_scale(x, y):
+    # every descending path from y starts with a step to a predecessor; holds
+    # far past the oracle's reach
+    total = count_down(x, y)
+    split = sum(count_down(x, p) for p in predecessors(y))
+    assert total > 0
+    assert total == split
+
+
+def test_down_all_ones_deep():
+    assert count_down(Word((1,) * 500), Word((1,) * 500)) == 1
+
+
+def test_down_suffix_pair_rank_1000():
+    x, y = _suffix_pair(1000, 1010)
+    assert count_down(x, y) > 0
+    # the only predecessor of 1x is x
+    assert count_down(x, Word((1,) + x.digits)) == 1

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, strategies as st
 import pytest
 
 from yfpaths.functions import (
+    _base_row,
     f_base,
     f_explicit,
     f_explicit_terms,
@@ -11,9 +14,10 @@ from yfpaths.functions import (
     g_product,
     g_values,
     weight,
+    weight_row,
 )
 from yfpaths.invariants import words_up_to_digits
-from yfpaths.words import EPSILON, Word, level, parse_word, suffix_sum
+from yfpaths.words import EPSILON, Word, common_suffix_len, level, parse_word, suffix_sum
 
 F = Fraction
 words = st.builds(Word, st.lists(st.sampled_from([1, 2]), max_size=7).map(tuple))
@@ -216,3 +220,63 @@ def test_memo_cache_is_invisible():
     first = [f_rec(x, y, z) for x, y, z in keys]
     clear_caches()
     assert [f_rec(x, y, z) for x, y, z in keys] == first
+
+
+def test_base_row_is_the_partial_sum_product():
+    # the hot path's Lagrange form of rank! * f_base against f_base itself
+    for x in words_up_to_digits(10):
+        row = _base_row(x.digits)
+        scale = factorial(x.rank)
+        for y in range(x.rank + 1):
+            assert row.get(y, 0) == scale * f_base(x, y), f"({x}, {y})"
+
+
+def test_weight_row_matches_explicit_small():
+    for ry in range(7):
+        for y in level(ry):
+            for rx in range(ry + 1):
+                for x in level(rx):
+                    h = common_suffix_len(x, y)
+                    assert weight_row(x, y) == [
+                        factorial(rx) * f_explicit(x, i, h) * g_product(y, i)
+                        for i in range(rx + 1)
+                    ], f"({x}, {y})"
+
+
+def _random_word(rng, rank):
+    digits = []
+    while rank:
+        digit = rng.choice((1, 2)) if rank >= 2 else 1
+        digits.append(digit)
+        rank -= digit
+    return tuple(digits)
+
+
+@pytest.mark.parametrize("rx, ry", [(120, 240), (150, 200), (200, 400)])
+def test_weight_row_matches_explicit_at_scale(rx, ry):
+    # x a suffix of y, so the chains walk all of x; i sampled from the
+    # suffix sums of x (where the row can be nonzero) and from elsewhere
+    rng = random.Random(rx + ry)
+    x = Word(_random_word(rng, rx))
+    y = Word(_random_word(rng, ry - rx) + x.digits)
+    row = weight_row(x, y)
+    assert len(row) == rx + 1
+    sums = sorted(_base_row(x.digits))
+    for i in rng.sample(sums, 6) + rng.sample(range(rx + 1), 4) + [0, rx]:
+        expected = factorial(rx) * f_explicit(x, i, x.digit_count) * g_product(y, i)
+        assert row[i] == expected, f"i={i}"
+    assert any(row)
+
+
+def test_weight_row_rank_precondition():
+    with pytest.raises(ValueError):
+        weight_row(w("22"), w("1"))
+
+
+@pytest.mark.parametrize(
+    "x, y, z",
+    [(Word((1,) * 2000), 700, 2000), (Word((2,) * 1000), 900, 900), (Word((2,) * 9), 12, 7)],
+)
+def test_deep_chain_matches_explicit(x, y, z):
+    # far deeper than any recursion limit: f_rec is one iterative chain
+    assert f_rec(x, y, z) == f_explicit(x, y, z) != 0

@@ -33,6 +33,13 @@ def test_down_equal_rank_dichotomy():
                 assert brute_count_down(x, y) == (1 if x == y else 0)
 
 
+def test_down_deep_chain_does_not_recurse():
+    # far more ranks than the recursion limit allows nested calls (703 is
+    # also what count_down gives)
+    assert brute_count_down(EPSILON, w("1" * 2000)) == 1
+    assert brute_count_down(w("22"), w("2" + "1" * 700 + "22")) == 703
+
+
 def test_down_rank_precondition():
     with pytest.raises(ValueError):
         brute_count_down(w("22"), w("1"))
