@@ -29,6 +29,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import counts, invariants, oracle
 from .functions import InconsistencyError, f_base, f_explicit, f_rec
@@ -167,6 +168,13 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
     sec = VerifySection(
         "trajectory-paths", {"rank": traj_rank, "S": max_s, "length": TRAJ_LENGTH_CAP}
     )
+    # one oracle walk from y counts the paths to every word at its final
+    # rank: walk once per (y, t) and look each x up
+    trajectory_walk = cache(oracle.trajectory_distribution)
+
+    def brute_trajectory(x: Word, y: Word, t) -> int:
+        return trajectory_walk(y, t).get(x, 0)
+
     for x, y in _word_pairs(traj_rank):
         for s in range(max_s + 1):
             for t in enumerate_trajectories(x.rank, y.rank, s):
@@ -174,14 +182,21 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
                     sec.skipped += 1
                     continue
                 label = "({}, {}, {})"
-                sec.compare(label, counts.count_trajectory, oracle.brute_count_trajectory, x, y, t)
+                sec.compare(label, counts.count_trajectory, brute_trajectory, x, y, t)
+    trajectory_walk.cache_clear()
     close(sec)
 
     spath_rank = min(max_rank, 5)
     sec = VerifySection("s-paths", {"rank": spath_rank, "S": max_s})
+    s_path_walk = cache(oracle.s_path_distribution)
+
+    def brute_s_paths(x: Word, y: Word, s: int) -> int:
+        return s_path_walk(y, x.rank, s).get(x, 0)
+
     for x, y in _word_pairs(spath_rank):
         for s in range(max_s + 1):
-            sec.compare("({}, {}, S={})", counts.count_s_paths, oracle.brute_count_s, x, y, s)
+            sec.compare("({}, {}, S={})", counts.count_s_paths, brute_s_paths, x, y, s)
+    s_path_walk.cache_clear()
     close(sec)
 
     xi_rank = min(max_rank, 6)

@@ -130,8 +130,10 @@ def _chain(digits: tuple[int, ...], y: int, z: int, term: int) -> int:
     return total + term
 
 
-@lru_cache(maxsize=1 << 15)
-def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
+@lru_cache(maxsize=1 << 12)
+def _f_start(digits: tuple[int, ...], y: int) -> tuple[int, int]:
+    """(scale, scale * f_base(x, y)): how the chain of f(x, y, z) starts, for
+    every z.  Shared by the keys of one (x, y), which differ only in z."""
     x = Word(digits)
     # at each 2 it reaches, with y' its current y, the chain divides by
     # (1 - y')^2 = (g - y)^2: one factor comes out of f_base's denominator,
@@ -141,7 +143,13 @@ def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
     start = f_base(x, y) * scale
     if start.denominator != 1:
         raise InconsistencyError(f"f_base({x}, {y}) * {x.rank}! is not an integer")
-    return Fraction(_chain(digits, y, z, start.numerator), scale)
+    return scale, start.numerator
+
+
+@lru_cache(maxsize=1 << 15)
+def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
+    scale, start = _f_start(digits, y)
+    return Fraction(_chain(digits, y, z, start), scale)
 
 
 def f_rec(x: Word, y: int, z: int) -> Fraction:
@@ -251,3 +259,4 @@ def weight_row(x: Word, y: Word) -> list[int]:
 def clear_caches() -> None:
     """Drop memoized f values (results are unaffected, only timings)."""
     _f_rec.cache_clear()
+    _f_start.cache_clear()

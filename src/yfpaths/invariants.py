@@ -8,6 +8,7 @@ suite; an empty failure list is the expected outcome on a correct build.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import factorial
 from typing import Callable, Iterator
@@ -16,6 +17,12 @@ from .functions import f_base, f_rec, g_product, g_values
 from .words import EPSILON, Word, common_suffix_len
 
 CheckResult = tuple[int, list[str]]
+
+
+def _products_equal(a: Fraction, m: int, b: Fraction, n: int) -> bool:
+    """a * m == b * n, by cross-multiplying: exact, without the gcd that
+    building either product as a Fraction costs."""
+    return a.numerator * m * b.denominator == b.numerator * n * a.denominator
 
 
 def words_up_to_digits(max_digits: int) -> Iterator[Word]:
@@ -34,19 +41,19 @@ def check_base_shift_identities(max_digits: int) -> CheckResult:
         x1 = Word(x.digits + (1,))
         for y in range(1, x1.rank + 1):
             checks += 1
-            if -y * f_base(x1, y) != f_base(x, y - 1):
+            if not _products_equal(f_base(x1, y), -y, f_base(x, y - 1), 1):
                 failures.append(f"append-1 at ({x}, y={y})")
         x2 = Word(x.digits + (2,))
         x11 = Word(x.digits + (1, 1))
         for y in range(x2.rank + 1):
             checks += 1
-            if (1 - y) * f_base(x11, y) != f_base(x2, y):
+            if not _products_equal(f_base(x11, y), 1 - y, f_base(x2, y), 1):
                 failures.append(f"append-2 at ({x}, y={y})")
         for a0 in (1, 2):
             ax = Word((a0,) + x.digits)
             for y in range(x.rank + 1):
                 checks += 1
-                if (ax.rank - y) * f_base(ax, y) != f_base(x, y):
+                if not _products_equal(f_base(ax, y), ax.rank - y, f_base(x, y), 1):
                     failures.append(f"prepend-{a0} at ({x}, y={y})")
     return checks, failures
 
@@ -105,12 +112,15 @@ def check_prefix_extension(max_digits: int) -> CheckResult:
     checks = 0
     failures = []
     for x in words_up_to_digits(max_digits):
-        for a0 in (1, 2):
-            ax = Word((a0,) + x.digits)
-            for y in range(x.rank + 1):
-                for z in range(x.digit_count + 1):
+        extended = [(a0, Word((a0,) + x.digits)) for a0 in (1, 2)]
+        rank = x.rank
+        for y in range(rank + 1):
+            for z in range(x.digit_count + 1):
+                fx = f_rec(x, y, z)
+                for a0, ax in extended:
                     checks += 1
-                    if f_rec(x, y, z) != f_rec(ax, y, z) * (ax.rank - y):
+                    # rank(ax) - y
+                    if not _products_equal(fx, 1, f_rec(ax, y, z), rank + a0 - y):
                         failures.append(f"prefix-{a0} at ({x}, y={y}, z={z})")
     return checks, failures
 
@@ -136,15 +146,21 @@ def check_equal_rank_symmetry(max_digits: int) -> CheckResult:
     by_rank: dict[int, list[Word]] = {}
     for w in words_up_to_digits(max_digits):
         by_rank.setdefault(w.rank, []).append(w)
-    for words in by_rank.values():
+    for rank, words in by_rank.items():
+        # each word's f row at z and g products, evaluated once per rank
+        # rather than once per pair
+        g_rows = {w: [g_product(w, i) for i in range(rank + 1)] for w in words}
+        f_rows: dict[tuple[Word, int], list[Fraction]] = {}
         for x in words:
             for y in words:
                 z = common_suffix_len(x, y)
-                for i in range(x.rank + 1):
+                for w in (x, y):
+                    if (w, z) not in f_rows:
+                        f_rows[w, z] = [f_rec(w, i, z) for i in range(rank + 1)]
+                columns = zip(f_rows[x, z], f_rows[y, z], g_rows[x], g_rows[y])
+                for i, (fx, fy, gx, gy) in enumerate(columns):
                     checks += 1
-                    lhs = f_rec(x, i, z) * g_product(y, i)
-                    rhs = f_rec(y, i, z) * g_product(x, i)
-                    if lhs != rhs:
+                    if not _products_equal(fx, gy, fy, gx):
                         failures.append(f"equal-rank symmetry at ({x}, {y}, i={i})")
     return checks, failures
 
