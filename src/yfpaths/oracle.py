@@ -19,6 +19,13 @@ from .words import Word, predecessors, successors
 _MAX_NESTING = 100
 
 
+@lru_cache(maxsize=1 << 14)
+def _neighbours(w: Word, step: int) -> tuple[Word, ...]:
+    """The successors (step 1) or predecessors (step -1) of w.  The walks
+    below meet the same few low-rank words over and over."""
+    return tuple(successors(w) if step == 1 else predecessors(w))
+
+
 @lru_cache(maxsize=None)
 def _down(x: Word, y: Word) -> int:
     if y.rank == x.rank:
@@ -52,10 +59,9 @@ def trajectory_distribution(y: Word, t: Trajectory) -> dict[Word, int]:
         raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
     front: dict[Word, int] = {y: 1}
     for step in t.steps:
-        neighbours = successors if step == 1 else predecessors
         new: dict[Word, int] = {}
         for w, c in front.items():
-            for v in neighbours(w):
+            for v in _neighbours(w, step):
                 new[v] = new.get(v, 0) + c
         front = new
     return front
@@ -83,11 +89,11 @@ def s_path_distribution(y: Word, X: int, S: int) -> dict[Word, int]:
     for _ in range(length):
         new: dict[tuple[Word, int], int] = {}
         for (w, used), c in front.items():
-            for v in predecessors(w):
+            for v in _neighbours(w, -1):
                 key = (v, used)
                 new[key] = new.get(key, 0) + c
             if used < S:
-                for v in successors(w):
+                for v in _neighbours(w, 1):
                     key = (v, used + 1)
                     new[key] = new.get(key, 0) + c
         front = new
@@ -116,3 +122,4 @@ def brute_xi(X: int, Y: int, S: int, i: int = 0) -> int:
 
 def clear_caches() -> None:
     _down.cache_clear()
+    _neighbours.cache_clear()
