@@ -146,10 +146,14 @@ def _f_start(digits: tuple[int, ...], y: int) -> tuple[int, int]:
     return scale, start.numerator
 
 
+_ZERO = Fraction(0)
+
+
 @lru_cache(maxsize=1 << 15)
 def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
     scale, start = _f_start(digits, y)
-    return Fraction(_chain(digits, y, z, start), scale)
+    # from a zero start every term of the chain is zero
+    return Fraction(_chain(digits, y, z, start), scale) if start else _ZERO
 
 
 def f_rec(x: Word, y: int, z: int) -> Fraction:
