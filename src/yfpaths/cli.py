@@ -4,12 +4,12 @@ Grammar::
 
     yf down X Y [--verify] [--json]
     yf traj X Y DELTA [--verify] [--json]
-    yf spaths X Y S [--verify] [--json]
+    yf spaths X Y S [--verify] [--json]        (S <= 20000)
     yf f X Y Z [--mode rec|explicit|base] [--verify] [--json]
-    yf xi X Y S I [--verify] [--json]
-    yf level N [--json]          (N <= 24)
-    yf dot N [--json]            (N <= 20)
-    yf verify [--max-rank N] [--max-S K] [--json]
+    yf xi X Y S I [--verify] [--json]          (S <= 20000)
+    yf level N [--json]                        (N <= 24)
+    yf dot N [--json]                          (N <= 20)
+    yf verify [--max-rank N] [--max-S K] [--json]   (N <= 10, K <= 5)
 
 Words are written as '1'/'2' strings with "e" for the empty word;
 trajectories as comma-separated integers.  Exit codes: 0 success,
@@ -17,8 +17,8 @@ trajectories as comma-separated integers.  Exit codes: 0 success,
 
 The library rejects out-of-range arguments with ``ValueError``, which
 :func:`main` reports as a usage error; this module checks only what the
-library cannot: integer syntax, ``--mode base``, the oracle caps and the rank
-caps of ``level`` and ``dot``.
+library cannot: integer syntax, ``--mode base``, the oracle caps and the caps
+on inputs whose cost grows without bound.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache
 
 from . import counts, invariants, oracle
 from .functions import InconsistencyError, f_base, f_explicit, f_rec
@@ -168,13 +167,6 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
     sec = VerifySection(
         "trajectory-paths", {"rank": traj_rank, "S": max_s, "length": TRAJ_LENGTH_CAP}
     )
-    # one oracle walk from y counts the paths to every word at its final
-    # rank: walk once per (y, t) and look each x up
-    trajectory_walk = cache(oracle.trajectory_distribution)
-
-    def brute_trajectory(x: Word, y: Word, t) -> int:
-        return trajectory_walk(y, t).get(x, 0)
-
     for x, y in _word_pairs(traj_rank):
         for s in range(max_s + 1):
             for t in enumerate_trajectories(x.rank, y.rank, s):
@@ -182,21 +174,16 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
                     sec.skipped += 1
                     continue
                 label = "({}, {}, {})"
-                sec.compare(label, counts.count_trajectory, brute_trajectory, x, y, t)
-    trajectory_walk.cache_clear()
+                sec.compare(
+                    label, counts.count_trajectory, oracle.brute_count_trajectory, x, y, t
+                )
     close(sec)
 
     spath_rank = min(max_rank, 5)
     sec = VerifySection("s-paths", {"rank": spath_rank, "S": max_s})
-    s_path_walk = cache(oracle.s_path_distribution)
-
-    def brute_s_paths(x: Word, y: Word, s: int) -> int:
-        return s_path_walk(y, x.rank, s).get(x, 0)
-
     for x, y in _word_pairs(spath_rank):
         for s in range(max_s + 1):
-            sec.compare("({}, {}, S={})", counts.count_s_paths, brute_s_paths, x, y, s)
-    s_path_walk.cache_clear()
+            sec.compare("({}, {}, S={})", counts.count_s_paths, oracle.brute_count_s, x, y, s)
     close(sec)
 
     xi_rank = min(max_rank, 6)
@@ -250,6 +237,26 @@ def _int_arg(text: str, name: str) -> int:
     return value
 
 
+# Largest inputs taken where the cost grows without bound in them, timed on a
+# 2-vCPU host.  A level holds F(N + 1) words, about 1.6 times as many per
+# rank: ``level 24`` takes 0.5-0.8 s and ~45 MB, and ``dot 20`` 0.6-1 s and
+# ~30 MB.  ``spaths`` and ``xi`` build (2S - 1)!!, whose digits grow as
+# S log S: S = 20000 takes ~0.5 s.  Each ``verify`` rank costs ~2.2 times the
+# one below, and each S past 4 up to ~2.7 times: (10, 5) takes ~3.4 s.
+LEVEL_RANK_CAP = 24
+DOT_RANK_CAP = 20
+S_CAP = 20_000
+VERIFY_RANK_CAP = 10
+VERIFY_S_CAP = 5
+
+
+def _at_most(name: str, value: int, cap: int) -> int:
+    """``value``, once it is within ``cap``; past it, a usage error."""
+    if value > cap:
+        raise ValueError(f"{name} must be at most {cap}, got {value}")
+    return value
+
+
 def _capped(name: str, value: int, cap: int) -> int:
     """``value``, once it is within the oracle's cap; past it, a usage error."""
     if value > cap:
@@ -281,7 +288,8 @@ def _traj(a) -> tuple[object, Thunk]:
 
 
 def _spaths(a) -> tuple[object, Thunk]:
-    x, y, s = parse_word(a.x), parse_word(a.y), _int_arg(a.s, "S")
+    x, y = parse_word(a.x), parse_word(a.y)
+    s = _at_most("S", _int_arg(a.s, "S"), S_CAP)
     return (
         counts.count_s_paths(x, y, s),
         lambda: oracle.brute_count_s(x, _capped_word(y, a), _capped("S", s, 4)),
@@ -301,7 +309,7 @@ def _f(a) -> tuple[object, Thunk]:
 
 def _xi(a) -> tuple[object, Thunk]:
     X, Y = _int_arg(a.x, "X"), _int_arg(a.y, "Y")
-    s, i = _int_arg(a.s, "S"), _int_arg(a.i, "I")
+    s, i = _at_most("S", _int_arg(a.s, "S"), S_CAP), _int_arg(a.i, "I")
     return (
         counts.xi(X, Y, s, i),
         lambda: oracle.brute_xi(
@@ -310,26 +318,13 @@ def _xi(a) -> tuple[object, Thunk]:
     )
 
 
-# Largest N that ``level`` and ``dot`` accept.  A level holds F(N + 1) words,
-# about 1.6 times as many per rank: ``level 24`` takes 0.5-0.8 s and ~60 MB,
-# and ``dot 20`` 0.6-1 s and ~30 MB.
-LEVEL_RANK_CAP = 24
-DOT_RANK_CAP = 20
-
-
-def _rank_arg(text: str, cap: int) -> int:
-    n = _int_arg(text, "N")
-    if n > cap:
-        raise ValueError(f"N must be at most {cap}, got {n}")
-    return n
-
-
 def _level(a) -> tuple[object, None]:
-    return ",".join(str(w) for w in level(_rank_arg(a.n, LEVEL_RANK_CAP))), None
+    n = _at_most("N", _int_arg(a.n, "N"), LEVEL_RANK_CAP)
+    return ",".join(str(w) for w in level(n)), None
 
 
 def _dot(a) -> tuple[object, None]:
-    return hasse_dot(_rank_arg(a.n, DOT_RANK_CAP)), None
+    return hasse_dot(_at_most("N", _int_arg(a.n, "N"), DOT_RANK_CAP)), None
 
 
 @dataclass(frozen=True)
@@ -352,7 +347,8 @@ class Command:
 
 
 _ORACLE = "cross-check against the brute-force oracle"
-_X, _Y, _S = ("x", "lower word"), ("y", "upper word"), ("s", "number of up-steps")
+_X, _Y = ("x", "lower word"), ("y", "upper word")
+_S = ("s", f"number of up-steps (at most {S_CAP})")
 
 COMMANDS = {
     "down": Command("count descending paths from Y to X", _down, (_X, _Y), _ORACLE, True),
@@ -406,8 +402,10 @@ def _build_parser() -> _Parser:
     sub.choices["f"].add_argument("--mode", choices=("rec", "explicit", "base"), default="rec")
 
     p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
-    p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--max-S", dest="max_s", type=int, default=2)
+    rank_help = f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"
+    p.add_argument("--max-rank", type=int, default=6, help=rank_help)
+    s_help = f"up-step cap of the sweeps (at most {VERIFY_S_CAP})"
+    p.add_argument("--max-S", dest="max_s", type=int, default=2, help=s_help)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -434,6 +432,8 @@ def _run_query(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     if args.max_rank < 0 or args.max_s < 0:
         raise ValueError("--max-rank and --max-S must be nonnegative")
+    _at_most("--max-rank", args.max_rank, VERIFY_RANK_CAP)
+    _at_most("--max-S", args.max_s, VERIFY_S_CAP)
     start = time.perf_counter()
     report = run_verification(args.max_rank, args.max_s)
     millis = _millis(time.perf_counter() - start)

@@ -105,15 +105,15 @@ def xi_zero(Y: int, S: int) -> int:
     return comb(Y + 2 * S, Y) * odd_double_factorial(2 * S - 1)
 
 
-def _odd_table(S: int, m: int) -> list[int]:
-    """odd[k] = (2k - 1)!! for k <= m and for S - m <= k <= S (0 elsewhere).
+def _odd_table(S: int, m: int) -> dict[int, int]:
+    """odd[k] = (2k - 1)!! for k <= m and for S - m <= k <= S.
 
     One pass of the recurrence (2k - 1)!! = (2k - 1) * (2k - 3)!!; only the
     ends that the alternating sum reads are kept, so memory stays O(m) big
     integers however large S is.
     """
-    odd = [0] * (S + 1)
-    odd[0] = value = 1
+    odd = {0: 1}
+    value = 1
     for k in range(1, S + 1):
         value *= 2 * k - 1
         if k <= m or k >= S - m:
@@ -121,7 +121,7 @@ def _odd_table(S: int, m: int) -> list[int]:
     return odd
 
 
-def _xi_sum(X: int, Y: int, S: int, odd: list[int]) -> int:
+def _xi_sum(X: int, Y: int, S: int, odd: dict[int, int]) -> int:
     """xi(X, Y, S, 0) for Y >= X >= 0: the alternating sum over k of
     C(X, 2k) * (2k - 1)!! * xi_zero(Y, S - k), reading (2j - 1)!! from
     ``odd[j]`` (an :func:`_odd_table` for S and at least X // 2)."""

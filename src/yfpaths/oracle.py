@@ -13,10 +13,10 @@ from functools import lru_cache
 from .trajectories import Trajectory, enumerate_trajectories
 from .words import Word, predecessors, successors
 
-
-# well inside the interpreter's recursion limit, which counts two frames per
-# rank of _down (the call and its generator)
-_MAX_NESTING = 100
+# Walks kept per memo.  ``verify --max-rank 8 --max-S 3`` comes back to 659
+# descent fronts (one per word and lower rank); its trajectory and S-path
+# sections come back only to the walks of the current upper word.
+_WALKS = 1 << 10
 
 
 @lru_cache(maxsize=1 << 14)
@@ -26,35 +26,33 @@ def _neighbours(w: Word, step: int) -> tuple[Word, ...]:
     return tuple(successors(w) if step == 1 else predecessors(w))
 
 
-@lru_cache(maxsize=None)
-def _down(x: Word, y: Word) -> int:
-    if y.rank == x.rank:
-        return 1 if x == y else 0
-    return sum(_down(x, p) for p in predecessors(y))
+@lru_cache(maxsize=_WALKS)
+def _down(y: Word, X: int) -> dict[Word, int]:
+    """Counts of descending paths from ``y`` to every word of rank ``X``,
+    walked down one level at a time.  The memo hands the same dict to every
+    caller: read it, never change it."""
+    front: dict[Word, int] = {y: 1}
+    for _ in range(y.rank - X):
+        new: dict[Word, int] = {}
+        for w, c in front.items():
+            for v in _neighbours(w, -1):
+                new[v] = new.get(v, 0) + c
+        front = new
+    return front
 
 
 def brute_count_down(x: Word, y: Word) -> int:
-    """Descending path count by direct recursion over predecessors.
-
-    The recursion nests one call per rank.  Past ``_MAX_NESTING`` ranks the
-    memo is first filled from the bottom up, level by level below y, so that
-    no call nests deeper than one level.
-    """
+    """Descending path count by a level-by-level walk down from y."""
     if y.rank < x.rank:
         raise ValueError(f"brute_count_down needs rank({y}) >= rank({x})")
-    if y.rank - x.rank > _MAX_NESTING:
-        levels = [{y}]
-        for _ in range(y.rank - x.rank):
-            levels.append({p for w in levels[-1] for p in predecessors(w)})
-        for level in reversed(levels):
-            for w in level:
-                _down(x, w)
-    return _down(x, y)
+    return _down(y, x.rank).get(x, 0)
 
 
+@lru_cache(maxsize=_WALKS)
 def trajectory_distribution(y: Word, t: Trajectory) -> dict[Word, int]:
     """Propagate a word -> multiplicity table along ``t``; one walk yields the
-    path count to every word at the final rank."""
+    path count to every word at the final rank.  The memo hands the same
+    dict to every caller: read it, never change it."""
     if t.start != y.rank:
         raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
     front: dict[Word, int] = {y: 1}
@@ -77,9 +75,11 @@ def brute_count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
     return trajectory_distribution(y, t).get(x, 0)
 
 
+@lru_cache(maxsize=_WALKS)
 def s_path_distribution(y: Word, X: int, S: int) -> dict[Word, int]:
     """Counts of S-up-step paths from ``y`` to every word of rank ``X``,
-    by dynamic programming over (word, up-steps used)."""
+    by dynamic programming over (word, up-steps used).  The memo hands the
+    same dict to every caller: read it, never change it."""
     if y.rank < X:
         raise ValueError(f"s_path_distribution needs rank({y}) >= {X}")
     if S < 0 or X < 0:
@@ -121,5 +121,5 @@ def brute_xi(X: int, Y: int, S: int, i: int = 0) -> int:
 
 
 def clear_caches() -> None:
-    _down.cache_clear()
-    _neighbours.cache_clear()
+    for memo in (_neighbours, _down, trajectory_distribution, s_path_distribution):
+        memo.cache_clear()

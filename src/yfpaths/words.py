@@ -13,7 +13,6 @@ rank down) and :func:`successors` (one rank up).  Suffix-oriented helpers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 EMPTY_WORD_TEXTS = ("e", "eps")
 
@@ -167,19 +166,14 @@ def start2(x: Word, a: int) -> Word | None:
     return Word(x.digits[: splits[a]])
 
 
-@lru_cache(maxsize=None)
-def _level_digits(n: int) -> tuple[tuple[int, ...], ...]:
-    if n < 0:
-        return ()
-    if n == 0:
-        return ((),)
-    with_one = tuple((1,) + t for t in _level_digits(n - 1))
-    with_two = tuple((2,) + t for t in _level_digits(n - 2))
-    return with_one + with_two
-
-
 def level(n: int) -> list[Word]:
     """All words of rank ``n`` in lexicographic order of their digit strings."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    return [Word(t) for t in _level_digits(n)]
+    # level k is 1 before each word of level k - 1, then 2 before each word
+    # of level k - 2; start from levels -1 (empty) and 0
+    below: list[tuple[int, ...]] = []
+    here: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        below, here = here, [(1,) + t for t in here] + [(2,) + t for t in below]
+    return [Word(t) for t in here]

@@ -231,6 +231,55 @@ def test_level_and_dot_rank_caps(capsys, monkeypatch, command, cap):
     assert max(asked) == cap
 
 
+@pytest.mark.parametrize(
+    "flag, cap", [("--max-rank", cli.VERIFY_RANK_CAP), ("--max-S", cli.VERIFY_S_CAP)]
+)
+def test_verify_caps(capsys, monkeypatch, flag, cap):
+    asked = []
+
+    def fake_verification(max_rank, max_s):
+        asked.append((max_rank, max_s))
+        return cli.VerifyReport([])
+
+    monkeypatch.setattr(cli, "run_verification", fake_verification)
+    # past the cap: one error line, and no sweep runs
+    for n in (cap + 1, 1000):
+        code, out, err = run(capsys, "verify", flag, str(n))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"yf: error: {flag} must be at most {cap}, got {n}"]
+    assert asked == []
+    # the cap itself is accepted, and so is the largest benchmark sweep
+    assert run(capsys, "verify", flag, str(cap))[0] == 0
+    assert run(capsys, "verify", "--max-rank", "8", "--max-S", "3")[0] == 0
+    assert asked == [(cap, 2) if flag == "--max-rank" else (6, cap), (8, 3)]
+
+
+@pytest.mark.parametrize(
+    "command, name, args",
+    [
+        ("spaths", "count_s_paths", ("e", "1", "{}")),
+        ("xi", "xi", ("0", "0", "{}", "0")),
+    ],
+)
+def test_up_step_cap(capsys, monkeypatch, command, name, args):
+    asked = []
+
+    def fake_count(*a):
+        asked.append(a)
+        return 0
+
+    monkeypatch.setattr(cli.counts, name, fake_count)
+    for s in (cli.S_CAP + 1, 10**20):
+        code, out, err = run(capsys, command, *(a.format(s) for a in args))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"yf: error: S must be at most {cli.S_CAP}, got {s}"]
+    assert asked == []
+    assert run(capsys, command, *(a.format(cli.S_CAP) for a in args))[0] == 0
+    assert cli.S_CAP in asked[0]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--max-rank", "4", "--max-S", "1")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 
 from yfpaths.counts import (
     _as_count,
+    _odd_table,
     _xi_row,
     count_down,
     count_down_from_top,
@@ -266,6 +267,14 @@ def test_xi_row_matches_xi(X, Y, S):
     assert row == [xi(X, Y, S, i) for i in range(X + 1)]
     # the last shift is the closed form, whose (2S - 1)!! is computed apart
     assert row[X] == xi_zero(Y - X, S)
+
+
+def test_odd_table_keeps_only_the_ends():
+    S, m = 20_000, 40
+    odd = _odd_table(S, m)
+    assert len(odd) <= 2 * m + 2
+    assert set(odd) == set(range(m + 1)) | set(range(S - m, S + 1))
+    assert odd[3] == 15 and odd[S] == odd[S - 1] * (2 * S - 1)
 
 
 def _random_word(rng, rank):

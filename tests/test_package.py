@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -60,3 +62,15 @@ def test_package_imports_parser():
         "from .words import Word\nfrom yfpaths.cli import main\nimport json\n"
     )
     assert sorted(package_imports(tree)) == ["", "cli", "counts", "functions", "words"]
+
+
+def test_every_memo_is_bounded():
+    # an unbounded memo grows for the life of the process
+    memos = []
+    for info in pkgutil.iter_modules(yfpaths.__path__):
+        module = importlib.import_module(f"yfpaths.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                memos.append(f"{info.name}.{name}")
+                assert value.cache_info().maxsize is not None, memos[-1]
+    assert "oracle._down" in memos
