@@ -2,23 +2,26 @@
 
 Grammar::
 
-    yf down X Y [--verify] [--json]
-    yf traj X Y DELTA [--verify] [--json]
-    yf spaths X Y S [--verify] [--json]        (S <= 20000)
-    yf f X Y Z [--mode rec|explicit|base] [--verify] [--json]
+    yf down X Y [--verify] [--json]            (rank X <= 1000)
+    yf traj X Y DELTA [--verify] [--json]      (rank X <= 1000, <= 1000 up-steps)
+    yf spaths X Y S [--verify] [--json]        (rank X <= 100, S <= 20000)
+    yf f X Y Z [--verify] [--json]
     yf xi X Y S I [--verify] [--json]          (S <= 20000)
     yf level N [--json]                        (N <= 24)
     yf dot N [--json]                          (N <= 20)
     yf verify [--max-rank N] [--max-S K] [--json]   (N <= 10, K <= 5)
 
 Words are written as '1'/'2' strings with "e" for the empty word;
-trajectories as comma-separated integers.  Exit codes: 0 success,
-1 usage error, 2 computation disagreement.
+trajectories as comma-separated integers.  ``--verify`` recomputes the value
+independently: by the brute-force oracle (upper word of rank at most
+``--verify-cap``, default 12; S <= 5), or for ``f`` by the closed form.
+Exit codes: 0 success, 1 usage error, 2 computation disagreement.
 
 The library rejects out-of-range arguments with ``ValueError``, which
 :func:`main` reports as a usage error; this module checks only what the
-library cannot: integer syntax, ``--mode base``, the oracle caps and the caps
-on inputs whose cost grows without bound.
+library cannot: integer syntax, the oracle caps and the caps on inputs whose
+cost grows without bound.  Every cap is one :func:`_at_most` check, whose
+error reads ``yf: error: <name> must be at most <cap>, got <n>``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import counts, invariants, oracle
-from .functions import InconsistencyError, f_base, f_explicit, f_rec
+from .functions import InconsistencyError, f_explicit, f_rec
 from .trajectories import enumerate_trajectories, parse_trajectory
 from .words import EPSILON, Word, level, parse_word, predecessors, successors
 
@@ -90,23 +93,6 @@ class VerifySection:
             self.failures.append(f"{label.format(*args)}: formula {got} != oracle {want}")
 
 
-@dataclass
-class VerifyReport:
-    sections: list[VerifySection]
-
-    @property
-    def checks(self) -> int:
-        return sum(s.checks for s in self.sections)
-
-    @property
-    def failures(self) -> list[str]:
-        return [f"{s.name}: {msg}" for s in self.sections for msg in s.failures]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _millis(seconds: float) -> float:
     return round(seconds * 1000.0, 3)
 
@@ -123,7 +109,7 @@ def _word_pairs(max_rank: int):
 TRAJ_LENGTH_CAP = 8
 
 
-def run_verification(max_rank: int, max_s: int) -> VerifyReport:
+def run_verification(max_rank: int, max_s: int) -> list[VerifySection]:
     """Formula-versus-oracle sweeps plus the identity suites.
 
     Down-path checks cover every word pair up to ``max_rank``; trajectory
@@ -210,7 +196,7 @@ def run_verification(max_rank: int, max_s: int) -> VerifyReport:
                 sec.failures.append(f"degree mismatch at {w}")
     close(sec)
 
-    return VerifyReport(sections)
+    return sections
 
 
 def hasse_dot(max_rank: int) -> str:
@@ -241,11 +227,19 @@ def _int_arg(text: str, name: str) -> int:
 # 2-vCPU host.  A level holds F(N + 1) words, about 1.6 times as many per
 # rank: ``level 24`` takes 0.5-0.8 s and ~45 MB, and ``dot 20`` 0.6-1 s and
 # ~30 MB.  ``spaths`` and ``xi`` build (2S - 1)!!, whose digits grow as
-# S log S: S = 20000 takes ~0.5 s.  Each ``verify`` rank costs ~2.2 times the
-# one below, and each S past 4 up to ~2.7 times: (10, 5) takes ~3.4 s.
+# S log S: S = 20000 takes ~0.5 s.  The weight row of a count grows as about
+# rank(x)^3: ``down`` and ``traj`` at rank(x) 1000 take 0.4-0.9 s (2.7 s at
+# 2000), and each up-step of a trajectory multiplies every summand once more:
+# 1000 up-steps at rank(x) 1000 take ~0.9 s, 10000 take ~26 s.  The xi row of
+# ``spaths`` holds rank(x)^2 / 2 terms of (2S - 1)!!'s size: rank(x) 100 at
+# S = 20000 takes ~1.5 s.  Each ``verify`` rank costs ~2.2 times the one
+# below, and each S past 4 up to ~2.7 times: (10, 5) takes ~3.4 s.
 LEVEL_RANK_CAP = 24
 DOT_RANK_CAP = 20
 S_CAP = 20_000
+RANK_CAP = 1000
+UP_STEP_CAP = 1000
+SPATHS_RANK_CAP = 100
 VERIFY_RANK_CAP = 10
 VERIFY_S_CAP = 5
 
@@ -257,65 +251,49 @@ def _at_most(name: str, value: int, cap: int) -> int:
     return value
 
 
-def _capped(name: str, value: int, cap: int) -> int:
-    """``value``, once it is within the oracle's cap; past it, a usage error."""
-    if value > cap:
-        raise ValueError(f"oracle verification capped at {name} <= {cap}, got {value}")
-    return value
-
-
-def _capped_word(y: Word, args: argparse.Namespace) -> Word:
-    """``y``, once its rank is within ``--verify-cap``: the oracle is exponential in it."""
-    if y.rank > args.verify_cap:
-        raise ValueError(
-            f"oracle verification capped at rank {args.verify_cap} (upper word has rank "
-            f"{y.rank}); raise --verify-cap to override"
-        )
-    return y
+def _words(a, rank_cap: int) -> tuple[Word, Word]:
+    """The query's words x and y.  rank(x) must be within ``rank_cap`` and,
+    under ``--verify``, rank(y) within ``--verify-cap``: the oracle is
+    exponential in it."""
+    x, y = parse_word(a.x), parse_word(a.y)
+    _at_most("rank(x)", x.rank, rank_cap)
+    if a.verify:
+        _at_most("rank(y) with --verify", y.rank, a.verify_cap)
+    return x, y
 
 
 def _down(a) -> tuple[object, Thunk]:
-    x, y = parse_word(a.x), parse_word(a.y)
-    return counts.count_down(x, y), lambda: oracle.brute_count_down(x, _capped_word(y, a))
+    x, y = _words(a, RANK_CAP)
+    return counts.count_down(x, y), lambda: oracle.brute_count_down(x, y)
 
 
 def _traj(a) -> tuple[object, Thunk]:
-    x, y, t = parse_word(a.x), parse_word(a.y), parse_trajectory(a.delta)
-    return (
-        counts.count_trajectory(x, y, t),
-        lambda: oracle.brute_count_trajectory(x, _capped_word(y, a), t),
-    )
+    x, y = _words(a, RANK_CAP)
+    t = parse_trajectory(a.delta)
+    _at_most("up-steps", t.up_count, UP_STEP_CAP)
+    return counts.count_trajectory(x, y, t), lambda: oracle.brute_count_trajectory(x, y, t)
 
 
 def _spaths(a) -> tuple[object, Thunk]:
-    x, y = parse_word(a.x), parse_word(a.y)
+    x, y = _words(a, SPATHS_RANK_CAP)
     s = _at_most("S", _int_arg(a.s, "S"), S_CAP)
-    return (
-        counts.count_s_paths(x, y, s),
-        lambda: oracle.brute_count_s(x, _capped_word(y, a), _capped("S", s, 4)),
-    )
+    if a.verify:
+        _at_most("S with --verify", s, VERIFY_S_CAP)
+    return counts.count_s_paths(x, y, s), lambda: oracle.brute_count_s(x, y, s)
 
 
 def _f(a) -> tuple[object, Thunk]:
     x, y, z = parse_word(a.x), _int_arg(a.y, "Y"), _int_arg(a.z, "Z")
-    if a.mode == "base":
-        if z != 0:
-            raise ValueError("--mode base requires Z = 0")
-        value = f_base(x, y)
-    else:
-        value = (f_rec if a.mode == "rec" else f_explicit)(x, y, z)
-    return value, lambda: (f_explicit if a.mode == "rec" else f_rec)(x, y, z)
+    return f_rec(x, y, z), lambda: f_explicit(x, y, z)
 
 
 def _xi(a) -> tuple[object, Thunk]:
     X, Y = _int_arg(a.x, "X"), _int_arg(a.y, "Y")
     s, i = _at_most("S", _int_arg(a.s, "S"), S_CAP), _int_arg(a.i, "I")
-    return (
-        counts.xi(X, Y, s, i),
-        lambda: oracle.brute_xi(
-            X, _capped("Y", Y, min(8, a.verify_cap)), _capped("S", s, 5), i
-        ),
-    )
+    if a.verify:
+        _at_most("Y with --verify", Y, min(8, a.verify_cap))
+        _at_most("S with --verify", s, VERIFY_S_CAP)
+    return counts.xi(X, Y, s, i), lambda: oracle.brute_xi(X, Y, s, i)
 
 
 def _level(a) -> tuple[object, None]:
@@ -347,24 +325,25 @@ class Command:
 
 
 _ORACLE = "cross-check against the brute-force oracle"
-_X, _Y = ("x", "lower word"), ("y", "upper word")
+_X = ("x", f"lower word, of rank at most {RANK_CAP}")
+_Y = ("y", "upper word")
 _S = ("s", f"number of up-steps (at most {S_CAP})")
+_DELTA = ("delta", f"trajectory, e.g. 3,2,1,2, with at most {UP_STEP_CAP} up-steps")
+_SPATHS_X = ("x", f"lower word, of rank at most {SPATHS_RANK_CAP}")
 
 COMMANDS = {
     "down": Command("count descending paths from Y to X", _down, (_X, _Y), _ORACLE, True),
     "traj": Command(
-        "count paths with a given rank profile",
-        _traj,
-        (_X, _Y, ("delta", "trajectory, e.g. 3,2,1,2")),
-        _ORACLE,
-        True,
+        "count paths with a given rank profile", _traj, (_X, _Y, _DELTA), _ORACLE, True
     ),
-    "spaths": Command("count paths with exactly S up-steps", _spaths, (_X, _Y, _S), _ORACLE, True),
+    "spaths": Command(
+        "count paths with exactly S up-steps", _spaths, (_SPATHS_X, _Y, _S), _ORACLE, True
+    ),
     "f": Command(
         "evaluate the lower weight function",
         _f,
         (("x", "word"), ("y", "second argument, 0..rank"), ("z", "third argument, 0..digits")),
-        "cross-check the evaluation modes",
+        "cross-check against the closed form",
     ),
     "xi": Command(
         "alternating up-value sum over trajectories",
@@ -398,8 +377,10 @@ def _build_parser() -> _Parser:
         if command.verify:
             p.add_argument("--verify", action="store_true", help=command.verify)
         if command.capped:
-            p.add_argument("--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP)
-    sub.choices["f"].add_argument("--mode", choices=("rec", "explicit", "base"), default="rec")
+            cap_help = f"rank cap of the oracle's upper word (default {DEFAULT_ORACLE_RANK_CAP})"
+            p.add_argument(
+                "--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP, help=cap_help
+            )
 
     p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
     rank_help = f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"
@@ -435,16 +416,16 @@ def _run_verify(args: argparse.Namespace) -> int:
     _at_most("--max-rank", args.max_rank, VERIFY_RANK_CAP)
     _at_most("--max-S", args.max_s, VERIFY_S_CAP)
     start = time.perf_counter()
-    report = run_verification(args.max_rank, args.max_s)
+    sections = run_verification(args.max_rank, args.max_s)
     millis = _millis(time.perf_counter() - start)
+    checks = sum(s.checks for s in sections)
+    failures = sum(len(s.failures) for s in sections)
     summary = (
-        f"all {report.checks} checks passed"
-        if report.ok
-        else f"{len(report.failures)} of {report.checks} checks failed"
+        f"{failures} of {checks} checks failed" if failures else f"all {checks} checks passed"
     )
     if args.json:
         verify_args = [str(args.max_rank), str(args.max_s)]
-        payload = _result("verify", verify_args, summary, agree=report.ok, millis=millis)
+        payload = _result("verify", verify_args, summary, agree=not failures, millis=millis)
         payload["sections"] = [
             {
                 "name": s.name,
@@ -454,11 +435,11 @@ def _run_verify(args: argparse.Namespace) -> int:
                 "caps": s.caps,
                 "millis": s.millis,
             }
-            for s in report.sections
+            for s in sections
         ]
         print(json.dumps(payload))
     else:
-        for section in report.sections:
+        for section in sections:
             status = "ok" if not section.failures else f"{len(section.failures)} FAILED"
             caps = ", ".join(f"{name} <= {cap}" for name, cap in section.caps.items())
             skipped = f", {section.skipped} skipped" if section.skipped else ""
@@ -469,7 +450,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             for failure in section.failures[:10]:
                 print(f"  FAIL {failure}")
         print(summary)
-    return EXIT_OK if report.ok else EXIT_DISAGREE
+    return EXIT_DISAGREE if failures else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

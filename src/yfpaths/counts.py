@@ -164,8 +164,4 @@ def count_s_paths_from_top(x: Word, S: int) -> int:
     """Closed form for paths from x to the empty word with S up-steps."""
     if S < 0:
         raise ValueError("S must be nonnegative")
-    return (
-        comb(x.rank + 2 * S, x.rank)
-        * odd_double_factorial(2 * S - 1)
-        * count_down_from_top(x)
-    )
+    return xi_zero(x.rank, S) * count_down_from_top(x)

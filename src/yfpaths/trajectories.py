@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
+ENUMERATION_CAP = 10_000_000  # most walks one enumeration may return
 
 GoodSequence = tuple[int, ...]
 
@@ -115,52 +115,50 @@ def reverse(t: Trajectory) -> Trajectory:
     return Trajectory(tuple(reversed(t.values)))
 
 
-def _walks(start: int, end: int, ups: int, floor: int | None, cap: int):
+def _walks(start: int, end: int, ups: int, floor: int | None):
     """All unit-step walks start -> end with exactly `ups` up-steps, down first."""
     length = start - end + 2 * ups
     out = []
-
-    def extend(values: tuple[int, ...], ups_left: int) -> None:
+    stack = [((start,), ups)]  # walk so far, up-steps it still has to take
+    while stack:
+        values, ups_left = stack.pop()
         steps_left = length - (len(values) - 1)
         if steps_left == 0:
             out.append(values)
-            if len(out) > cap:
+            if len(out) > ENUMERATION_CAP:
                 raise EnumerationCapExceeded(
-                    f"more than {cap} walks from {start} to {end} with {ups} up-steps"
+                    f"more than {ENUMERATION_CAP} walks from {start} to {end} "
+                    f"with {ups} up-steps"
                 )
-            return
+            continue
         cur = values[-1]
-        if steps_left - ups_left >= 1 and (floor is None or cur - 1 >= floor):
-            extend(values + (cur - 1,), ups_left)
+        # the up-step is pushed first, so that the down-step is explored first
         if ups_left >= 1:
-            extend(values + (cur + 1,), ups_left - 1)
-
-    extend((start,), ups)
+            stack.append((values + (cur + 1,), ups_left - 1))
+        if steps_left - ups_left >= 1 and (floor is None or cur - 1 >= floor):
+            stack.append((values + (cur - 1,), ups_left))
     return out
 
 
-def enumerate_trajectories(
-    X: int, Y: int, S: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Trajectory]:
+def enumerate_trajectories(X: int, Y: int, S: int) -> list[Trajectory]:
     """All trajectories from Y down to X with exactly S up-steps.
 
     Deterministic order: at every position a down-step is explored before an
-    up-step.  Raises :class:`EnumerationCapExceeded` past ``cap`` results.
+    up-step.  Raises :class:`EnumerationCapExceeded` past ``ENUMERATION_CAP``
+    results.
     """
     if Y < X:
         raise ValueError(f"need Y >= X, got X={X}, Y={Y}")
     if min(X, Y, S) < 0:
         raise ValueError("X, Y, S must be nonnegative")
-    return [Trajectory(v) for v in _walks(Y, X, S, floor=0, cap=cap)]
+    return [Trajectory(v) for v in _walks(Y, X, S, floor=0)]
 
 
-def enumerate_pseudo_trajectories(
-    X: int, Y: int, S: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[PseudoTrajectory]:
+def enumerate_pseudo_trajectories(X: int, Y: int, S: int) -> list[PseudoTrajectory]:
     """Like :func:`enumerate_trajectories` but values may go negative."""
     if Y < X:
         raise ValueError(f"need Y >= X, got X={X}, Y={Y}")
-    return [PseudoTrajectory(v) for v in _walks(Y, X, S, floor=None, cap=cap)]
+    return [PseudoTrajectory(v) for v in _walks(Y, X, S, floor=None)]
 
 
 def good_sequence_violation(lam: GoodSequence, X: int, Y: int, S: int) -> str | None:

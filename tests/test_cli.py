@@ -1,5 +1,7 @@
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,20 +65,22 @@ def test_spaths(capsys):
     assert run(capsys, "spaths", "e", "22", "0")[1].strip() == "3"
 
 
-def test_f_modes(capsys):
+def test_f_values(capsys):
     assert run(capsys, "f", "21221", "0", "0")[1].strip() == "1/720"
-    assert run(capsys, "f", "1111", "4", "4", "--mode", "explicit")[1].strip() == "3/8"
+    assert run(capsys, "f", "1111", "4", "4")[1].strip() == "3/8"
     assert run(capsys, "f", "12", "1", "0")[1].strip() == "0"
-    assert run(capsys, "f", "21221", "5", "0", "--mode", "base")[1].strip() == "-1/120"
+    # at Z = 0, f is the base value f_base
+    assert run(capsys, "f", "21221", "5", "0")[1].strip() == "-1/120"
     code, out, _ = run(capsys, "f", "1111", "4", "4", "--verify")
     assert code == 0
-    assert "agree" in out
+    assert out.splitlines() == ["3/8", "oracle: 3/8 (agree)"]
 
 
-def test_f_base_mode_requires_z_zero(capsys):
+def test_f_has_no_mode_option(capsys):
     code, _, err = run(capsys, "f", "12", "1", "1", "--mode", "base")
     assert code == 1
-    assert "base" in err
+    assert err.startswith("usage: yf ")
+    assert "unrecognized arguments: --mode base" in err
 
 
 def test_xi_command(capsys):
@@ -89,7 +93,7 @@ def test_xi_verify_cap_limits_y(capsys):
     code, out, err = run(capsys, "xi", "2", "8", "1", "0", "--verify", "--verify-cap", "1")
     assert code == 1
     assert out == ""
-    assert err.splitlines() == ["yf: error: oracle verification capped at Y <= 1, got 8"]
+    assert err.splitlines() == ["yf: error: Y with --verify must be at most 1, got 8"]
 
 
 def test_level(capsys):
@@ -155,7 +159,7 @@ def test_usage_errors_exit_one(capsys):
         ("traj", "e", "22", "3,2,1,0"),
         ("spaths", "22", "e", "1"),
         ("f", "12", "1", "9"),
-        ("f", "12", "9", "0", "--mode", "explicit"),
+        ("f", "12", "9", "0", "--verify"),
         ("xi", "2", "3", "1", "3"),
         ("level", "-1"),
         ("dot", "-1"),
@@ -239,7 +243,7 @@ def test_verify_caps(capsys, monkeypatch, flag, cap):
 
     def fake_verification(max_rank, max_s):
         asked.append((max_rank, max_s))
-        return cli.VerifyReport([])
+        return []
 
     monkeypatch.setattr(cli, "run_verification", fake_verification)
     # past the cap: one error line, and no sweep runs
@@ -278,6 +282,84 @@ def test_up_step_cap(capsys, monkeypatch, command, name, args):
     assert asked == []
     assert run(capsys, command, *(a.format(cli.S_CAP) for a in args))[0] == 0
     assert cli.S_CAP in asked[0]
+
+
+def _up_steps(n):
+    return ",".join(["0", "1"] * n + ["0"])
+
+
+@pytest.mark.parametrize(
+    "command, name, args, what, cap",
+    [
+        ("down", "count_down", lambda n: ("1" * n, "e"), "rank(x)", cli.RANK_CAP),
+        ("traj", "count_trajectory", lambda n: ("1" * n, "e", "0"), "rank(x)", cli.RANK_CAP),
+        (
+            "traj",
+            "count_trajectory",
+            lambda n: ("e", "e", _up_steps(n)),
+            "up-steps",
+            cli.UP_STEP_CAP,
+        ),
+        (
+            "spaths",
+            "count_s_paths",
+            lambda n: ("1" * n, "e", "1"),
+            "rank(x)",
+            cli.SPATHS_RANK_CAP,
+        ),
+    ],
+)
+def test_query_size_caps(capsys, monkeypatch, command, name, args, what, cap):
+    asked = []
+
+    def fake_count(*a):
+        asked.append(a)
+        return 0
+
+    monkeypatch.setattr(cli.counts, name, fake_count)
+    # past the cap: one error line, and nothing is counted
+    for n in (cap + 1, 100_000):
+        code, out, err = run(capsys, command, *args(n))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"yf: error: {what} must be at most {cap}, got {n}"]
+    assert asked == []
+    assert run(capsys, command, *args(cap))[0] == 0
+    assert len(asked) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("spaths", "e", "1", "{}", "--verify"), ("xi", "0", "0", "{}", "0", "--verify")],
+)
+def test_oracle_up_step_cap(capsys, argv):
+    # both oracles take S up to the cap of verify's sweeps
+    cap = cli.VERIFY_S_CAP
+    code, out, err = run(capsys, *(a.format(cap + 1) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"yf: error: S with --verify must be at most {cap}, got {cap + 1}"]
+    code, out, _ = run(capsys, *(a.format(cap) for a in argv))
+    assert code == 0
+    assert out.splitlines()[1].endswith(" (agree)")
+
+
+def _readme_commands():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        # drop the comment, then the output redirection
+        line = line.split("#", 1)[0].split(">", 1)[0]
+        if line.strip():
+            yield shlex.split(line)
+
+
+@pytest.mark.parametrize("argv", list(_readme_commands()), ids=" ".join)
+def test_readme_cli_examples_run(capsys, argv):
+    assert argv[0] == "yf"
+    code, out, err = run(capsys, *argv[1:])
+    assert code == 0, err
+    assert out
 
 
 def test_verify_passes(capsys):
@@ -338,9 +420,10 @@ def test_verify_detects_injected_fault(capsys):
         mp.setattr(functions, "f_base", lambda x, y: -original(x, y))
         functions.clear_caches()
         oracle.clear_caches()
-        report = run_verification(max_rank=3, max_s=1)
-        assert not report.ok
-        assert any("(" in failure for failure in report.failures)
+        sections = run_verification(max_rank=3, max_s=1)
+        failures = [failure for s in sections for failure in s.failures]
+        assert failures
+        assert any("(" in failure for failure in failures)
         code, out, _ = run(capsys, "verify", "--max-rank", "3", "--max-S", "1")
         assert code == 2
         assert "FAIL" in out
@@ -349,11 +432,12 @@ def test_verify_detects_injected_fault(capsys):
 
 
 def test_verify_cap_blocks_expensive_oracle(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "down", "e", "2222222", "--verify", "--verify-cap", "10"
     )
     assert code == 1
-    assert "cap" in err
+    assert out == ""
+    assert err.splitlines() == ["yf: error: rank(y) with --verify must be at most 10, got 14"]
 
 
 def test_verify_rejects_negative_bounds(capsys):

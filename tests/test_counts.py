@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from yfpaths.counts import (
@@ -19,7 +20,12 @@ from yfpaths.counts import (
 )
 from yfpaths.functions import InconsistencyError
 from yfpaths.oracle import brute_count_s, brute_count_trajectory, brute_xi
-from yfpaths.trajectories import Trajectory, enumerate_trajectories, reverse
+from yfpaths.trajectories import (
+    Trajectory,
+    enumerate_trajectories,
+    reverse,
+    trajectory_from_sequence,
+)
 from yfpaths.words import EPSILON, Word, level, parse_word, predecessors, successors
 
 
@@ -327,3 +333,45 @@ def test_down_suffix_pair_rank_1000():
     assert count_down(x, y) > 0
     # the only predecessor of 1x is x
     assert count_down(x, Word((1,) + x.digits)) == 1
+
+
+# words of rank up to 150
+big_words = st.builds(Word, st.lists(st.sampled_from([1, 2]), max_size=75).map(tuple))
+
+
+def _insert(t: tuple[int, ...], j: int, step: int) -> Trajectory:
+    """t with the pair (a + step, a) inserted after its value a at position j."""
+    a = t[j]
+    return Trajectory(t[: j + 1] + (a + step, a) + t[j + 1 :])
+
+
+@settings(deadline=None)
+@given(big_words, big_words, st.data())
+def test_commutation_at_trajectory_level(u, v, data):
+    # DU - UD = I in a 1-differential poset (Stanley 1988): a peak (a, a+1, a)
+    # counts the paths of the valley (a, a-1, a) in its place plus those of
+    # the trajectory with the pair removed
+    x, y = sorted((u, v), key=lambda word: word.rank)
+    X, Y = x.rank, y.rank
+    S = data.draw(st.integers(0, 3))
+    lam: list[int] = []
+    for i in range(1, S + 1):
+        # an up-value at most one above the last, and room left to end at X
+        hi = Y + 1 if not lam else lam[-1] + 1
+        lam.append(data.draw(st.integers(max(1, X - (S - i)), hi)))
+    t = trajectory_from_sequence(X, Y, S, tuple(lam)).values
+    j = data.draw(st.integers(0, len(t) - 1))
+    valley = count_trajectory(x, y, _insert(t, j, -1)) if t[j] else 0
+    peak = count_trajectory(x, y, _insert(t, j, 1))
+    assert peak - valley == count_trajectory(x, y, Trajectory(t))
+
+
+def test_commutation_at_zero_has_no_valley_term():
+    # at a = 0 the valley would dip below rank 0: the peak alone counts the
+    # paths of the trajectory without it
+    for n in range(6):
+        for y in level(n):
+            t = tuple(range(n, -1, -1))
+            assert count_trajectory(EPSILON, y, _insert(t, n, 1)) == count_trajectory(
+                EPSILON, y, Trajectory(t)
+            )

@@ -1,6 +1,7 @@
 from hypothesis import given, strategies as st
 import pytest
 
+from yfpaths import trajectories
 from yfpaths.trajectories import (
     EnumerationCapExceeded,
     PseudoTrajectory,
@@ -98,9 +99,17 @@ def test_enumerate_rejects_bad_endpoints():
         enumerate_trajectories(3, 1, 0)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(trajectories, "ENUMERATION_CAP", 10)
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_trajectories(0, 2, 6, cap=10)
+        enumerate_trajectories(0, 2, 6)
+
+
+def test_enumeration_does_not_recurse():
+    # 1200 steps deep: one walk per level of a recursion would overflow the stack
+    [t] = enumerate_trajectories(0, 1200, 0)
+    assert t.values == tuple(range(1200, -1, -1))
+    assert len(enumerate_trajectories(0, 1200, 1)) == 1201
 
 
 def test_down_step_count():
