@@ -6,7 +6,7 @@ Grammar::
     yf traj X Y DELTA [--verify] [--json]      (rank X <= 1000, <= 1000 up-steps)
     yf spaths X Y S [--verify] [--json]        (rank X <= 100, S <= 20000)
     yf f X Y Z [--verify] [--json]
-    yf xi X Y S I [--verify] [--json]          (S <= 20000)
+    yf xi X Y S I [--verify] [--json]          (Y <= 10000, S <= 20000)
     yf level N [--json]                        (N <= 24)
     yf dot N [--json]                          (N <= 20)
     yf verify [--max-rank N] [--max-S K] [--json]   (N <= 10, K <= 5)
@@ -14,7 +14,8 @@ Grammar::
 Words are written as '1'/'2' strings with "e" for the empty word;
 trajectories as comma-separated integers.  ``--verify`` recomputes the value
 independently: by the brute-force oracle (upper word of rank at most
-``--verify-cap``, default 12; S <= 5), or for ``f`` by the closed form.
+``--verify-cap``, default 12 and at most 1000; S <= 5), or for ``f`` by the
+closed form.
 Exit codes: 0 success, 1 usage error, 2 computation disagreement.
 
 The library rejects out-of-range arguments with ``ValueError``, which
@@ -227,19 +228,28 @@ def _int_arg(text: str, name: str) -> int:
 # 2-vCPU host.  A level holds F(N + 1) words, about 1.6 times as many per
 # rank: ``level 24`` takes 0.5-0.8 s and ~45 MB, and ``dot 20`` 0.6-1 s and
 # ~30 MB.  ``spaths`` and ``xi`` build (2S - 1)!!, whose digits grow as
-# S log S: S = 20000 takes ~0.5 s.  The weight row of a count grows as about
-# rank(x)^3: ``down`` and ``traj`` at rank(x) 1000 take 0.4-0.9 s (2.7 s at
-# 2000), and each up-step of a trajectory multiplies every summand once more:
-# 1000 up-steps at rank(x) 1000 take ~0.9 s, 10000 take ~26 s.  The xi row of
-# ``spaths`` holds rank(x)^2 / 2 terms of (2S - 1)!!'s size: rank(x) 100 at
-# S = 20000 takes ~1.5 s.  Each ``verify`` rank costs ~2.2 times the one
-# below, and each S past 4 up to ~2.7 times: (10, 5) takes ~3.4 s.
+# S log S: S = 20000 takes ~0.3 s.  ``xi`` sums min(X / 2, S) terms through
+# one fraction of small-integer products, which grows with each term, and
+# its value has ~2S log Y digits: X = Y = 10000 at S = 20000 takes ~0.8 s,
+# X = Y = 40000 ~4 s, and X = 0 with Y = 10^9 ~2 s.  The weight row of a
+# count grows as about rank(x)^3: ``down`` and ``traj`` at rank(x) 1000 take
+# 0.4-0.9 s (2.7 s at 2000), and each up-step of a trajectory multiplies
+# every summand once more: 1000 up-steps at rank(x) 1000 take ~0.9 s, 10000
+# take ~26 s.  The xi row of ``spaths`` is rank(x) + 1 such sums, each
+# finished by one divide of a (2S - 1)!!-sized number: rank(x) 100 at
+# S = 20000 takes ~0.4 s at rank(y) 150 and ~0.7 s at rank(y) 3000.  The
+# oracle walks every word below y: ``down e 1^1000 --verify --verify-cap
+# 1000`` takes ~0.1 s, but y = 2^16 (rank 32) ~1.6 s and 2^19 ~17 s.  Each
+# ``verify`` rank costs ~2.2 times the one below, and each S past 4 up to
+# ~2.7 times: (10, 5) takes ~3.4 s.
 LEVEL_RANK_CAP = 24
 DOT_RANK_CAP = 20
 S_CAP = 20_000
 RANK_CAP = 1000
 UP_STEP_CAP = 1000
 SPATHS_RANK_CAP = 100
+XI_Y_CAP = 10_000
+MAX_ORACLE_RANK_CAP = 1000
 VERIFY_RANK_CAP = 10
 VERIFY_S_CAP = 5
 
@@ -288,7 +298,8 @@ def _f(a) -> tuple[object, Thunk]:
 
 
 def _xi(a) -> tuple[object, Thunk]:
-    X, Y = _int_arg(a.x, "X"), _int_arg(a.y, "Y")
+    # X <= Y, so the cap on Y bounds X too
+    X, Y = _int_arg(a.x, "X"), _at_most("Y", _int_arg(a.y, "Y"), XI_Y_CAP)
     s, i = _at_most("S", _int_arg(a.s, "S"), S_CAP), _int_arg(a.i, "I")
     if a.verify:
         _at_most("Y with --verify", Y, min(8, a.verify_cap))
@@ -330,6 +341,7 @@ _Y = ("y", "upper word")
 _S = ("s", f"number of up-steps (at most {S_CAP})")
 _DELTA = ("delta", f"trajectory, e.g. 3,2,1,2, with at most {UP_STEP_CAP} up-steps")
 _SPATHS_X = ("x", f"lower word, of rank at most {SPATHS_RANK_CAP}")
+_XI_Y = ("y", f"upper endpoint (at most {XI_Y_CAP})")
 
 COMMANDS = {
     "down": Command("count descending paths from Y to X", _down, (_X, _Y), _ORACLE, True),
@@ -348,7 +360,7 @@ COMMANDS = {
     "xi": Command(
         "alternating up-value sum over trajectories",
         _xi,
-        (("x", "lower endpoint"), ("y", "upper endpoint"), _S, ("i", "shift")),
+        (("x", "lower endpoint"), _XI_Y, _S, ("i", "shift")),
         _ORACLE,
         True,
     ),
@@ -377,7 +389,10 @@ def _build_parser() -> _Parser:
         if command.verify:
             p.add_argument("--verify", action="store_true", help=command.verify)
         if command.capped:
-            cap_help = f"rank cap of the oracle's upper word (default {DEFAULT_ORACLE_RANK_CAP})"
+            cap_help = (
+                f"rank cap of the oracle's upper word (default {DEFAULT_ORACLE_RANK_CAP}, "
+                f"at most {MAX_ORACLE_RANK_CAP})"
+            )
             p.add_argument(
                 "--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP, help=cap_help
             )
@@ -394,6 +409,10 @@ def _build_parser() -> _Parser:
 
 def _run_query(args: argparse.Namespace) -> int:
     command = COMMANDS[args.command]
+    if command.capped:
+        if args.verify_cap < 0:
+            raise ValueError(f"--verify-cap must be nonnegative, got {args.verify_cap}")
+        _at_most("--verify-cap", args.verify_cap, MAX_ORACLE_RANK_CAP)
     start = time.perf_counter()
     value, check = command.run(args)
     expected = check() if check is not None and args.verify else None

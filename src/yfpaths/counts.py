@@ -10,12 +10,17 @@ walking the (exponentially many) paths:
 
 The trajectory dependence enters only through alternating sums over
 up-values, which collapse to the closed-form ``xi`` values built from
-binomials and odd double factorials.  Every result is checked to be a
-nonnegative integer before it is returned.
+binomials and odd double factorials.  Successive terms of such a sum differ
+by a ratio of a few small integers, so each ``xi`` is its k = 0 term,
+C(Y + 2S, Y) * (2S - 1)!!, times one fraction of small-integer products;
+``count_s_paths`` builds that term once per query and steps it from shift
+to shift by the same kind of ratio.  Every divide is checked to be exact, and
+every result to be a nonnegative integer before it is returned.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -36,11 +41,17 @@ __all__ = [
 ]
 
 
+def _exact(total: int | Fraction, divisor: int, what: str) -> int:
+    """total / divisor, checked to leave no remainder."""
+    value, rest = divmod(total, divisor)
+    if rest:
+        raise InconsistencyError(f"{what} evaluated to a non-integer")
+    return value
+
+
 def _as_count(total: int | Fraction, what: str, scale: int = 1) -> int:
     """total / scale, checked to be a nonnegative integer."""
-    value, rest = divmod(total, scale)
-    if rest:
-        raise InconsistencyError(f"{what} evaluated to non-integer {Fraction(total, scale)}")
+    value = _exact(total, scale, what)
     if value < 0:
         raise InconsistencyError(f"{what} evaluated to negative {value}")
     return value
@@ -80,9 +91,17 @@ def count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
             f"trajectory endpoints ({t.start}, {t.end}) do not match "
             f"ranks ({y.rank}, {x.rank})"
         )
-    ups = t.up_values
+    # prod_e (e - i) over the up-values, as one power per multiplicity m of
+    # the product of the up-values that occur m times
+    by_count: dict[int, list[int]] = {}
+    for e, m in Counter(t.up_values).items():
+        by_count.setdefault(m, []).append(e)
+    groups = by_count.items()
     return _weighted_count(
-        x, y, lambda i: prod(e - i for e in ups), f"count_trajectory({x}, {y}, {t})"
+        x,
+        y,
+        lambda i: prod(pow(prod(e - i for e in es), m) for m, es in groups),
+        f"count_trajectory({x}, {y}, {t})",
     )
 
 
@@ -105,31 +124,22 @@ def xi_zero(Y: int, S: int) -> int:
     return comb(Y + 2 * S, Y) * odd_double_factorial(2 * S - 1)
 
 
-def _odd_table(S: int, m: int) -> dict[int, int]:
-    """odd[k] = (2k - 1)!! for k <= m and for S - m <= k <= S.
+def _xi_from_head(X: int, Y: int, S: int, head: int) -> int:
+    """xi(X, Y, S, 0) for Y >= X >= 0, given its k = 0 term ``head`` =
+    xi_zero(Y, S).
 
-    One pass of the recurrence (2k - 1)!! = (2k - 1) * (2k - 3)!!; only the
-    ends that the alternating sum reads are kept, so memory stays O(m) big
-    integers however large S is.
+    The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
+    k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
+    (k (N + Y + 1)(N + Y + 2)) with N = 2(S - k).  So the sum is head times
+    1 + r_1 (1 + r_2 (1 + ...)), evaluated from the last k as one fraction
+    p / q of small-integer products; one exact divide finishes it.
     """
-    odd = {0: 1}
-    value = 1
-    for k in range(1, S + 1):
-        value *= 2 * k - 1
-        if k <= m or k >= S - m:
-            odd[k] = value
-    return odd
-
-
-def _xi_sum(X: int, Y: int, S: int, odd: dict[int, int]) -> int:
-    """xi(X, Y, S, 0) for Y >= X >= 0: the alternating sum over k of
-    C(X, 2k) * (2k - 1)!! * xi_zero(Y, S - k), reading (2j - 1)!! from
-    ``odd[j]`` (an :func:`_odd_table` for S and at least X // 2)."""
-    total = 0
-    for k in range(min(X // 2, S) + 1):
-        term = comb(X, 2 * k) * odd[k] * comb(Y + 2 * (S - k), Y) * odd[S - k]
-        total += -term if k % 2 else term
-    return total
+    p = q = 1
+    for k in range(min(X // 2, S), 0, -1):
+        n = 2 * (S - k) + Y
+        b = k * (n + 1) * (n + 2)
+        p, q = b * q - (X - 2 * k + 2) * (X - 2 * k + 1) * (S - k + 1) * p, b * q
+    return _exact(head * p, q, f"xi({X}, {Y}, {S}, 0)")
 
 
 def xi(X: int, Y: int, S: int, i: int = 0) -> int:
@@ -142,13 +152,21 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
         raise ValueError(f"xi needs Y >= X >= i >= 0, got ({X}, {Y}, {S}, {i})")
     if S < 0:
         raise ValueError("S must be nonnegative")
-    return _xi_sum(X - i, Y - i, S, _odd_table(S, (X - i) // 2))
+    return _xi_from_head(X - i, Y - i, S, xi_zero(Y - i, S))
 
 
 def _xi_row(X: int, Y: int, S: int) -> list[int]:
-    """[xi(X, Y, S, i) for i in 0..X], all from one double-factorial table."""
-    odd = _odd_table(S, X // 2)
-    return [_xi_sum(X - i, Y - i, S, odd) for i in range(X + 1)]
+    """[xi(X, Y, S, i) for i in 0..X] from one closed k = 0 term.
+
+    The k = 0 term of shift i is xi_zero(Y - i, S) = C(Y - i + 2S, Y - i) *
+    (2S - 1)!!; the next shift's is it times (Y - i) / (Y - i + 2S).
+    """
+    head = xi_zero(Y, S)
+    row = [_xi_from_head(X, Y, S, head)]
+    for i in range(1, X + 1):
+        head = _exact(head * (Y - i + 1), Y - i + 1 + 2 * S, f"xi_zero({Y - i}, {S})")
+        row.append(_xi_from_head(X - i, Y - i, S, head))
+    return row
 
 
 def count_s_paths(x: Word, y: Word, S: int) -> int:

@@ -1,6 +1,7 @@
 import json
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,54 @@ def test_up_step_cap(capsys, monkeypatch, command, name, args):
     assert asked == []
     assert run(capsys, command, *(a.format(cli.S_CAP) for a in args))[0] == 0
     assert cli.S_CAP in asked[0]
+
+
+def test_xi_upper_endpoint_cap(capsys, monkeypatch):
+    asked = []
+
+    def fake_xi(*a):
+        asked.append(a)
+        return 0
+
+    monkeypatch.setattr(cli.counts, "xi", fake_xi)
+    # past the cap: one error line, and nothing is summed; X <= Y, so the
+    # cap on Y covers X
+    for y in (cli.XI_Y_CAP + 1, 10**30):
+        code, out, err = run(capsys, "xi", "0", str(y), "20000", "0")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"yf: error: Y must be at most {cli.XI_Y_CAP}, got {y}"]
+    assert asked == []
+    cap = str(cli.XI_Y_CAP)
+    assert run(capsys, "xi", cap, cap, "20000", "0")[0] == 0
+    assert asked == [(cli.XI_Y_CAP, cli.XI_Y_CAP, 20000, 0)]
+
+
+@pytest.mark.parametrize("command", ["down", "traj", "spaths", "xi"])
+def test_verify_cap_bounds(capsys, monkeypatch, command):
+    cap = cli.MAX_ORACLE_RANK_CAP
+    asked = []
+
+    def fake_run(a):
+        asked.append(a.verify_cap)
+        return 1, lambda: 1
+
+    monkeypatch.setitem(cli.COMMANDS, command, replace(cli.COMMANDS[command], run=fake_run))
+    args = {"down": ("e", "1"), "traj": ("e", "1", "1,0"), "spaths": ("e", "1", "0")}
+    argv = (command, *args.get(command, ("0", "1", "0", "0")), "--verify", "--verify-cap")
+    # below zero or past the cap: one error line, and the command does not run
+    for n, message in [
+        (-5, "--verify-cap must be nonnegative, got -5"),
+        (cap + 1, f"--verify-cap must be at most {cap}, got {cap + 1}"),
+        (10**30, f"--verify-cap must be at most {cap}, got {10**30}"),
+    ]:
+        code, out, err = run(capsys, *argv, str(n))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"yf: error: {message}"]
+    assert asked == []
+    assert run(capsys, *argv, str(cap))[0] == 0
+    assert asked == [cap]
 
 
 def _up_steps(n):

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from yfpaths import counts
 from yfpaths.counts import (
     _as_count,
-    _odd_table,
     _xi_row,
     count_down,
     count_down_from_top,
@@ -18,7 +18,7 @@ from yfpaths.counts import (
     xi,
     xi_zero,
 )
-from yfpaths.functions import InconsistencyError
+from yfpaths.functions import InconsistencyError, weight_row
 from yfpaths.oracle import brute_count_s, brute_count_trajectory, brute_xi
 from yfpaths.trajectories import (
     Trajectory,
@@ -262,25 +262,64 @@ def test_xi_zero_recurrences():
         assert xi_zero(0, S) == xi_zero(1, S - 1)
 
 
-@pytest.mark.parametrize("S", [0, 1, 200, 600])
+def _xi_reference_row(X, Y, S):
+    """[xi(X, Y, S, i) for i in 0..X] term by term: with X' = X - i and
+    Y' = Y - i, the alternating sum over k of
+    C(X', 2k) (2k - 1)!! C(Y' + 2(S - k), Y') (2(S - k) - 1)!!, each binomial
+    fresh.  Every (2(S - k) - 1)!! is a multiple of (2(S - K) - 1)!!, with K the
+    largest k of the row, which is multiplied in once per shift."""
+    K = min(X // 2, S)
+    base = odd_double_factorial(2 * (S - K) - 1)
+    low, high = [1] * (K + 1), [1] * (K + 1)  # (2k - 1)!!, (2(S - k) - 1)!! / base
+    for k in range(1, K + 1):
+        low[k] = low[k - 1] * (2 * k - 1)
+        high[K - k] = high[K - k + 1] * (2 * (S - K + k) - 1)
+    return [
+        base
+        * sum(
+            (-1) ** k * comb(X - i, 2 * k) * low[k] * comb(Y - i + 2 * (S - k), Y - i) * high[k]
+            for k in range(min((X - i) // 2, S) + 1)
+        )
+        for i in range(X + 1)
+    ]
+
+
+_XI_GRID = [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80, 160)]
+
+
 @pytest.mark.parametrize(
-    "X, Y", [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80, 160)]
+    "X, Y, S",
+    [(X, Y, S) for X, Y in _XI_GRID for S in (0, 1, 200, 600)]
+    + [(100, 150, 20_000), (100, 1000, 20_000)],
 )
 def test_xi_row_matches_xi(X, Y, S):
-    # the row shares one double-factorial table across all shifts i; each
-    # xi call builds its own
+    # the row walks one k = 0 term down the shifts and sums each entry by
+    # term ratios; the reference builds every term from fresh binomials
     row = _xi_row(X, Y, S)
-    assert row == [xi(X, Y, S, i) for i in range(X + 1)]
-    # the last shift is the closed form, whose (2S - 1)!! is computed apart
+    assert row == _xi_reference_row(X, Y, S)
+    assert row[0] == xi(X, Y, S)
+    # the last shift is the closed form, computed apart from the row's
+    # stepped k = 0 term
     assert row[X] == xi_zero(Y - X, S)
 
 
-def test_odd_table_keeps_only_the_ends():
+def test_xi_row_divides_exactly_at_the_s_cap(monkeypatch):
     S, m = 20_000, 40
-    odd = _odd_table(S, m)
-    assert len(odd) <= 2 * m + 2
-    assert set(odd) == set(range(m + 1)) | set(range(S - m, S + 1))
-    assert odd[3] == 15 and odd[S] == odd[S - 1] * (2 * S - 1)
+    row = _xi_row(2 * m, 2 * m, S)
+    # xi(1, Y, S, 0) = xi(0, Y, S, 0): the last two shifts are closed forms,
+    # (2S - 1)!! and (2S + 1)!!
+    assert row[-1] == xi_zero(0, S) == odd_double_factorial(2 * S - 1)
+    assert row[-2] == xi_zero(1, S) == odd_double_factorial(2 * S + 1)
+    # a k = 0 term off by one leaves a remainder, which is an inconsistency:
+    # in an entry's divide, or at X = 1, whose entries divide by 1, in the
+    # step to the next shift
+    real = counts.xi_zero
+    monkeypatch.setattr(counts, "xi_zero", lambda Y, S: real(Y, S) + 1)
+    for X in (2 * m, 1):
+        with pytest.raises(InconsistencyError):
+            _xi_row(X, X, S)
+    with pytest.raises(InconsistencyError):
+        xi(2 * m, 2 * m, S)
 
 
 def _random_word(rng, rank):
@@ -322,6 +361,68 @@ def test_down_graph_recursion_at_scale(x, y):
     split = sum(count_down(x, p) for p in predecessors(y))
     assert total > 0
     assert total == split
+
+
+def _trajectory_with_ups(X, Y, ups):
+    """The trajectory from Y to X whose up-steps reach ``ups``, in order."""
+    values = [Y]
+    for e in ups:
+        values.extend(range(values[-1] - 1, e - 2, -1))  # down to e - 1
+        values.append(e)
+    values.extend(range(values[-1] - 1, X - 1, -1))
+    return Trajectory(tuple(values))
+
+
+def _ungrouped_count(x, y, t):
+    """count_trajectory with the factor prod_e (e - i) multiplied out over
+    every up-value, one at a time."""
+    row = weight_row(x, y)
+    total = sum(w * prod(e - i for e in t.up_values) for i, w in enumerate(row))
+    count, rest = divmod(total, factorial(x.rank))
+    assert rest == 0
+    return count
+
+
+def _first_step_split(x, y, t):
+    """count_trajectory(x, y, t) re-counted by the first step of t: to each
+    successor of y if t goes up, to each predecessor if it goes down, then
+    the rest of t from there."""
+    rest = Trajectory(t.values[1:])
+    neighbours = successors(y) if t.values[1] > t.values[0] else predecessors(y)
+    return sum(count_trajectory(x, w, rest) for w in neighbours)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trajectory_first_step_split_with_repeated_up_values(seed):
+    # 600 up-values drawn from a band of 8 ranks around rank(x), so each
+    # repeats ~75 times and some fall below the shifts i of the weight row;
+    # odd seeds start with an up-step
+    rng = random.Random(seed)
+    X = rng.randint(60, 80)
+    Y = X + rng.randint(1, 3)
+    x, y = _random_word(rng, X), _random_word(rng, Y)
+    S = 600
+    ups = [Y + 1] if seed % 2 else []
+    while len(ups) < S:
+        prev = ups[-1] if ups else Y
+        ups.append(rng.randint(max(X - 3, X - (S - 1 - len(ups))), min(prev + 1, X + 4)))
+    t = _trajectory_with_ups(X, Y, ups)
+    assert t.up_count == S and len(set(t.up_values)) <= 8
+    total = count_trajectory(x, y, t)
+    assert total > 0
+    assert total == _first_step_split(x, y, t) == _ungrouped_count(x, y, t)
+
+
+def test_trajectory_with_one_repeated_up_value():
+    # down to rank(x), then 600 dips to rank(x) - 1 and back: every up-value
+    # is rank(x), so the factor is (rank(x) - i)^600
+    rng = random.Random(7)
+    x, y = _random_word(rng, 70), _random_word(rng, 75)
+    t = _trajectory_with_ups(70, 75, [70] * 600)
+    assert set(t.up_values) == {70}
+    total = count_trajectory(x, y, t)
+    assert total > 0
+    assert total == _first_step_split(x, y, t) == _ungrouped_count(x, y, t)
 
 
 def test_down_all_ones_deep():
