@@ -2,10 +2,10 @@
 
 Grammar::
 
-    yf down X Y [--verify] [--json]            (rank X <= 1000)
-    yf traj X Y DELTA [--verify] [--json]      (rank X <= 1000, <= 1000 up-steps)
-    yf spaths X Y S [--verify] [--json]        (rank X <= 100, S <= 20000)
-    yf f X Y Z [--verify] [--json]
+    yf down X Y [--verify] [--json]            (rank X <= 1000, rank Y <= 3000)
+    yf traj X Y DELTA [--verify] [--json]      (the same, and <= 1000 up-steps)
+    yf spaths X Y S [--verify] [--json]        (rank X <= 100, rank Y <= 3000, S <= 20000)
+    yf f X Y Z [--verify] [--json]             (rank X <= 10000, 1000 with --verify)
     yf xi X Y S I [--verify] [--json]          (Y <= 10000, S <= 20000)
     yf level N [--json]                        (N <= 24)
     yf dot N [--json]                          (N <= 20)
@@ -13,10 +13,11 @@ Grammar::
 
 Words are written as '1'/'2' strings with "e" for the empty word;
 trajectories as comma-separated integers.  ``--verify`` recomputes the value
-independently: by the brute-force oracle (upper word of rank at most
-``--verify-cap``, default 12 and at most 1000; S <= 5), or for ``f`` by the
-closed form.
-Exit codes: 0 success, 1 usage error, 2 computation disagreement.
+independently: by the brute-force oracle (S <= 5; for ``xi`` Y <= 8), or for
+``f`` by the closed form.  The oracle stops any walk past a fixed work bound
+(``oracle.WORK_CAP``), 1-1.5 s of walking, and the query then fails.
+Exit codes: 0 success, 1 usage error, oracle past its work bound or out of
+memory, 2 computation disagreement, 130 interrupted.
 
 The library rejects out-of-range arguments with ``ValueError``, which
 :func:`main` reports as a usage error; this module checks only what the
@@ -36,14 +37,13 @@ from dataclasses import dataclass, field
 
 from . import counts, invariants, oracle
 from .functions import InconsistencyError, f_explicit, f_rec
-from .trajectories import enumerate_trajectories, parse_trajectory
+from .trajectories import EnumerationCapExceeded, enumerate_trajectories, parse_trajectory
 from .words import EPSILON, Word, level, parse_word, predecessors, successors
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
-
-DEFAULT_ORACLE_RANK_CAP = 12
+EXIT_INTERRUPTED = 130
 
 Thunk = Callable[[], object]
 
@@ -235,21 +235,29 @@ def _int_arg(text: str, name: str) -> int:
 # count grows as about rank(x)^3: ``down`` and ``traj`` at rank(x) 1000 take
 # 0.4-0.9 s (2.7 s at 2000), and each up-step of a trajectory multiplies
 # every summand once more: 1000 up-steps at rank(x) 1000 take ~0.9 s, 10000
-# take ~26 s.  The xi row of ``spaths`` is rank(x) + 1 such sums, each
-# finished by one divide of a (2S - 1)!!-sized number: rank(x) 100 at
-# S = 20000 takes ~0.4 s at rank(y) 150 and ~0.7 s at rank(y) 3000.  The
-# oracle walks every word below y: ``down e 1^1000 --verify --verify-cap
-# 1000`` takes ~0.1 s, but y = 2^16 (rank 32) ~1.6 s and 2^19 ~17 s.  Each
-# ``verify`` rank costs ~2.2 times the one below, and each S past 4 up to
-# ~2.7 times: (10, 5) takes ~3.4 s.
+# take ~26 s.  The chains of the row walk the common suffix, so the cost
+# grows with rank(y) too: with x = 1^1000 and y = 2^k 1^1000, ``down`` takes
+# ~1.3 s at rank(y) 3000, ~2.0 s at 4000 and ~2.7 s at 5000, and ``traj``
+# with 1000 up-steps ~1.8, 2.1 and 2.9 s.  The xi row of ``spaths`` is
+# rank(x) + 1 such sums, each finished by one divide of a (2S - 1)!!-sized
+# number: rank(x) 100 at S = 20000 takes ~0.4 s at rank(y) 150 and ~0.5 s at
+# rank(y) 3000.  ``f`` chains over the digits of x: ``f_rec`` takes up to
+# ~0.3 s at rank(x) 10000 and ~1.5 s at 20000; the closed form under
+# ``--verify`` ~0.4 s at 1000 and ~2.4 s at 2000.  The oracle bounds its own
+# walks (``oracle.WORK_CAP``); ``brute_xi`` enumerates trajectories instead,
+# so ``xi --verify`` keeps a cap on Y.  Each ``verify`` rank costs ~2.2 times
+# the one below, and each S past 4 up to ~2.7 times: (10, 5) takes ~3.4 s.
 LEVEL_RANK_CAP = 24
 DOT_RANK_CAP = 20
 S_CAP = 20_000
 RANK_CAP = 1000
+RANK_Y_CAP = 3000
 UP_STEP_CAP = 1000
 SPATHS_RANK_CAP = 100
+F_RANK_CAP = 10_000
+F_VERIFY_RANK_CAP = 1000
 XI_Y_CAP = 10_000
-MAX_ORACLE_RANK_CAP = 1000
+XI_VERIFY_Y_CAP = 8
 VERIFY_RANK_CAP = 10
 VERIFY_S_CAP = 5
 
@@ -262,13 +270,11 @@ def _at_most(name: str, value: int, cap: int) -> int:
 
 
 def _words(a, rank_cap: int) -> tuple[Word, Word]:
-    """The query's words x and y.  rank(x) must be within ``rank_cap`` and,
-    under ``--verify``, rank(y) within ``--verify-cap``: the oracle is
-    exponential in it."""
+    """The query's words x and y, of rank within ``rank_cap`` and
+    ``RANK_Y_CAP``."""
     x, y = parse_word(a.x), parse_word(a.y)
     _at_most("rank(x)", x.rank, rank_cap)
-    if a.verify:
-        _at_most("rank(y) with --verify", y.rank, a.verify_cap)
+    _at_most("rank(y)", y.rank, RANK_Y_CAP)
     return x, y
 
 
@@ -294,6 +300,9 @@ def _spaths(a) -> tuple[object, Thunk]:
 
 def _f(a) -> tuple[object, Thunk]:
     x, y, z = parse_word(a.x), _int_arg(a.y, "Y"), _int_arg(a.z, "Z")
+    _at_most("rank(x)", x.rank, F_RANK_CAP)
+    if a.verify:
+        _at_most("rank(x) with --verify", x.rank, F_VERIFY_RANK_CAP)
     return f_rec(x, y, z), lambda: f_explicit(x, y, z)
 
 
@@ -302,7 +311,7 @@ def _xi(a) -> tuple[object, Thunk]:
     X, Y = _int_arg(a.x, "X"), _at_most("Y", _int_arg(a.y, "Y"), XI_Y_CAP)
     s, i = _at_most("S", _int_arg(a.s, "S"), S_CAP), _int_arg(a.i, "I")
     if a.verify:
-        _at_most("Y with --verify", Y, min(8, a.verify_cap))
+        _at_most("Y with --verify", Y, XI_VERIFY_Y_CAP)
         _at_most("S with --verify", s, VERIFY_S_CAP)
     return counts.xi(X, Y, s, i), lambda: oracle.brute_xi(X, Y, s, i)
 
@@ -323,38 +332,38 @@ class Command:
     ``run`` maps the parsed arguments to ``(value, oracle)``: ``oracle`` is a
     thunk that recomputes the value independently, called only under
     ``--verify``, or None.  ``verify`` is the help of ``--verify`` (None: no
-    such flag) and ``capped`` adds ``--verify-cap``; ``text`` renders the value
-    for plain output.
+    such flag); ``text`` renders the value for plain output.
     """
 
     help: str
     run: Callable[[argparse.Namespace], tuple[object, Thunk | None]]
     positionals: tuple[tuple[str, str], ...]
     verify: str | None = None
-    capped: bool = False
     text: Callable[[object], str] = str
 
 
-_ORACLE = "cross-check against the brute-force oracle"
+_ORACLE = "cross-check against the brute-force oracle, which fails past its work bound"
 _X = ("x", f"lower word, of rank at most {RANK_CAP}")
-_Y = ("y", "upper word")
+_Y = ("y", f"upper word, of rank at most {RANK_Y_CAP}")
 _S = ("s", f"number of up-steps (at most {S_CAP})")
 _DELTA = ("delta", f"trajectory, e.g. 3,2,1,2, with at most {UP_STEP_CAP} up-steps")
 _SPATHS_X = ("x", f"lower word, of rank at most {SPATHS_RANK_CAP}")
 _XI_Y = ("y", f"upper endpoint (at most {XI_Y_CAP})")
 
 COMMANDS = {
-    "down": Command("count descending paths from Y to X", _down, (_X, _Y), _ORACLE, True),
-    "traj": Command(
-        "count paths with a given rank profile", _traj, (_X, _Y, _DELTA), _ORACLE, True
-    ),
+    "down": Command("count descending paths from Y to X", _down, (_X, _Y), _ORACLE),
+    "traj": Command("count paths with a given rank profile", _traj, (_X, _Y, _DELTA), _ORACLE),
     "spaths": Command(
-        "count paths with exactly S up-steps", _spaths, (_SPATHS_X, _Y, _S), _ORACLE, True
+        "count paths with exactly S up-steps", _spaths, (_SPATHS_X, _Y, _S), _ORACLE
     ),
     "f": Command(
         "evaluate the lower weight function",
         _f,
-        (("x", "word"), ("y", "second argument, 0..rank"), ("z", "third argument, 0..digits")),
+        (
+            ("x", f"word, of rank at most {F_RANK_CAP} ({F_VERIFY_RANK_CAP} with --verify)"),
+            ("y", "second argument, 0..rank"),
+            ("z", "third argument, 0..digits"),
+        ),
         "cross-check against the closed form",
     ),
     "xi": Command(
@@ -362,7 +371,6 @@ COMMANDS = {
         _xi,
         (("x", "lower endpoint"), _XI_Y, _S, ("i", "shift")),
         _ORACLE,
-        True,
     ),
     "level": Command(
         f"list all words of a given rank (at most {LEVEL_RANK_CAP})",
@@ -388,14 +396,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="emit a single-line JSON result")
         if command.verify:
             p.add_argument("--verify", action="store_true", help=command.verify)
-        if command.capped:
-            cap_help = (
-                f"rank cap of the oracle's upper word (default {DEFAULT_ORACLE_RANK_CAP}, "
-                f"at most {MAX_ORACLE_RANK_CAP})"
-            )
-            p.add_argument(
-                "--verify-cap", type=int, default=DEFAULT_ORACLE_RANK_CAP, help=cap_help
-            )
 
     p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
     rank_help = f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"
@@ -409,10 +409,6 @@ def _build_parser() -> _Parser:
 
 def _run_query(args: argparse.Namespace) -> int:
     command = COMMANDS[args.command]
-    if command.capped:
-        if args.verify_cap < 0:
-            raise ValueError(f"--verify-cap must be nonnegative, got {args.verify_cap}")
-        _at_most("--verify-cap", args.verify_cap, MAX_ORACLE_RANK_CAP)
     start = time.perf_counter()
     value, check = command.run(args)
     expected = check() if check is not None and args.verify else None
@@ -485,12 +481,18 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return _run_verify(args) if args.command == "verify" else _run_query(args)
-    except ValueError as exc:
+    except (ValueError, EnumerationCapExceeded) as exc:
         print(f"yf: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("yf: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except InconsistencyError as exc:
         print(f"yf: internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
+    except KeyboardInterrupt:
+        print("yf: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

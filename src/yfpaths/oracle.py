@@ -4,19 +4,37 @@ Everything here counts by walking the graph or enumerating trajectories
 directly.  This module deliberately imports only the word model and the
 trajectory model -- never the formula machinery -- so that agreement between
 the two is meaningful evidence.
+
+A walk's cost follows the shape of its fronts, not the rank it starts from:
+1^1000 has one word per level, 2^19 about 150,000 at its widest.  So every
+walk meters its own work and raises :class:`EnumerationCapExceeded` past
+``WORK_CAP``, 1-1.5 s of walking; enumerations stop at
+``trajectories.ENUMERATION_CAP``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .trajectories import Trajectory, enumerate_trajectories
+from .trajectories import EnumerationCapExceeded, Trajectory, enumerate_trajectories
 from .words import Word, predecessors, successors
 
 # Walks kept per memo.  ``verify --max-rank 8 --max-S 3`` comes back to 659
 # descent fronts (one per word and lower rank); its trajectory and S-path
 # sections come back only to the walks of the current upper word.
 _WALKS = 1 << 10
+
+# Work one walk may do.  Each level charges its front: the number of words in
+# it times their rank, which bounds their digit count, plus _WORD_COST.  On a
+# 2-vCPU host a unit took 0.05-0.09 us in descents and trajectory walks, thin
+# (1^n) or dense (2^k), and up to ~0.15 us in S-path walks from long words,
+# which step both ways; with the constant at 32 dense walks cost 2-5 times as
+# much per unit as thin ones.  The cap stops ``down e 2^19 --verify`` after
+# ~0.9 s and ``spaths e 1^1000 5 --verify`` after ~1.4 s, and admits every
+# descent from a word of rank 3000 or less with one word per level
+# (``1^3000``: 4.9e6 units).
+WORK_CAP = 8_000_000
+_WORD_COST = 128
 
 
 @lru_cache(maxsize=1 << 14)
@@ -26,19 +44,39 @@ def _neighbours(w: Word, step: int) -> tuple[Word, ...]:
     return tuple(successors(w) if step == 1 else predecessors(w))
 
 
+def _charge(work: int, words: int, rank: int) -> int:
+    """``work`` plus one level's charge: ``words`` words of rank ``rank``,
+    so of at most ``rank`` digits each.  Past ``WORK_CAP`` the walk stops."""
+    work += words * (rank + _WORD_COST)
+    if work > WORK_CAP:
+        raise EnumerationCapExceeded(
+            f"the oracle's walk needs more than {WORK_CAP} units of work"
+        )
+    return work
+
+
+def _walk(y: Word, steps: tuple[int, ...]) -> dict[Word, int]:
+    """Propagate a word -> multiplicity table from ``y`` along ``steps``
+    (each +1 or -1), charging every front before it is stepped from."""
+    front: dict[Word, int] = {y: 1}
+    rank, work = y.rank, 0
+    for step in steps:
+        work = _charge(work, len(front), rank)
+        new: dict[Word, int] = {}
+        for w, c in front.items():
+            for v in _neighbours(w, step):
+                new[v] = new.get(v, 0) + c
+        front = new
+        rank += step
+    return front
+
+
 @lru_cache(maxsize=_WALKS)
 def _down(y: Word, X: int) -> dict[Word, int]:
     """Counts of descending paths from ``y`` to every word of rank ``X``,
     walked down one level at a time.  The memo hands the same dict to every
     caller: read it, never change it."""
-    front: dict[Word, int] = {y: 1}
-    for _ in range(y.rank - X):
-        new: dict[Word, int] = {}
-        for w, c in front.items():
-            for v in _neighbours(w, -1):
-                new[v] = new.get(v, 0) + c
-        front = new
-    return front
+    return _walk(y, (-1,) * (y.rank - X))
 
 
 def brute_count_down(x: Word, y: Word) -> int:
@@ -55,14 +93,7 @@ def trajectory_distribution(y: Word, t: Trajectory) -> dict[Word, int]:
     dict to every caller: read it, never change it."""
     if t.start != y.rank:
         raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
-    front: dict[Word, int] = {y: 1}
-    for step in t.steps:
-        new: dict[Word, int] = {}
-        for w, c in front.items():
-            for v in _neighbours(w, step):
-                new[v] = new.get(v, 0) + c
-        front = new
-    return front
+    return _walk(y, t.steps)
 
 
 def brute_count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
@@ -85,8 +116,11 @@ def s_path_distribution(y: Word, X: int, S: int) -> dict[Word, int]:
     if S < 0 or X < 0:
         raise ValueError("X and S must be nonnegative")
     length = y.rank - X + 2 * S
+    top = y.rank + S  # no word of the front lies higher
     front: dict[tuple[Word, int], int] = {(y, 0): 1}
+    work = 0
     for _ in range(length):
+        work = _charge(work, len(front), top)
         new: dict[tuple[Word, int], int] = {}
         for (w, used), c in front.items():
             for v in _neighbours(w, -1):

@@ -9,10 +9,11 @@ import pytest
 import yfpaths.cli as cli
 import yfpaths.functions as functions
 import yfpaths.oracle as oracle
+import yfpaths.trajectories as trajectories
 from yfpaths.cli import hasse_dot, main, run_verification
 from yfpaths.counts import count_s_paths
 from yfpaths.functions import f_explicit
-from yfpaths.trajectories import enumerate_trajectories
+from yfpaths.trajectories import EnumerationCapExceeded, enumerate_trajectories
 from yfpaths.words import level, parse_word
 
 
@@ -91,10 +92,21 @@ def test_xi_command(capsys):
 
 
 def test_xi_verify_cap_limits_y(capsys):
-    code, out, err = run(capsys, "xi", "2", "8", "1", "0", "--verify", "--verify-cap", "1")
+    code, out, err = run(capsys, "xi", "2", "9", "1", "0", "--verify")
     assert code == 1
     assert out == ""
-    assert err.splitlines() == ["yf: error: Y with --verify must be at most 1, got 8"]
+    assert err.splitlines() == ["yf: error: Y with --verify must be at most 8, got 9"]
+    assert run(capsys, "xi", "2", "8", "1", "0", "--verify")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["down", "traj", "spaths", "xi"])
+def test_no_verify_cap_option(capsys, command):
+    args = {"down": ("e", "1"), "traj": ("e", "1", "1,0"), "spaths": ("e", "1", "0")}
+    argv = (command, *args.get(command, ("0", "1", "0", "0")), "--verify")
+    code, out, err = run(capsys, *argv, "--verify-cap", "12")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --verify-cap 12" in err
 
 
 def test_level(capsys):
@@ -206,8 +218,9 @@ def test_deep_f_answers_exactly(capsys):
     assert out.strip() == str(f_explicit(x, 700, 700))
 
 
-def test_deep_down_verify_with_raised_cap(capsys):
-    code, out, err = run(capsys, "down", "e", "1" * 600, "--verify", "--verify-cap", "600")
+def test_deep_down_verify(capsys):
+    # a thin upper word: one word per level, far within the oracle's bound
+    code, out, err = run(capsys, "down", "e", "1" * 600, "--verify")
     assert code == 0
     assert err == ""
     assert out.splitlines() == ["1", "oracle: 1 (agree)"]
@@ -306,42 +319,64 @@ def test_xi_upper_endpoint_cap(capsys, monkeypatch):
     assert asked == [(cli.XI_Y_CAP, cli.XI_Y_CAP, 20000, 0)]
 
 
-@pytest.mark.parametrize("command", ["down", "traj", "spaths", "xi"])
-def test_verify_cap_bounds(capsys, monkeypatch, command):
-    cap = cli.MAX_ORACLE_RANK_CAP
-    asked = []
-
-    def fake_run(a):
-        asked.append(a.verify_cap)
-        return 1, lambda: 1
-
-    monkeypatch.setitem(cli.COMMANDS, command, replace(cli.COMMANDS[command], run=fake_run))
-    args = {"down": ("e", "1"), "traj": ("e", "1", "1,0"), "spaths": ("e", "1", "0")}
-    argv = (command, *args.get(command, ("0", "1", "0", "0")), "--verify", "--verify-cap")
-    # below zero or past the cap: one error line, and the command does not run
-    for n, message in [
-        (-5, "--verify-cap must be nonnegative, got -5"),
-        (cap + 1, f"--verify-cap must be at most {cap}, got {cap + 1}"),
-        (10**30, f"--verify-cap must be at most {cap}, got {10**30}"),
-    ]:
-        code, out, err = run(capsys, *argv, str(n))
-        assert code == 1
-        assert out == ""
-        assert err.splitlines() == [f"yf: error: {message}"]
-    assert asked == []
-    assert run(capsys, *argv, str(cap))[0] == 0
-    assert asked == [cap]
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("down", ("e", "22")),
+        ("traj", ("e", "22", "4,3,2,1,0")),
+        ("spaths", ("e", "22", "1")),
+        ("xi", ("2", "3", "2", "0")),
+    ],
+)
+def test_verify_cap_bounds(capsys, monkeypatch, command, args):
+    # each oracle stops at its own bound: the walks at the work bound, the
+    # xi sum at the trajectory enumeration cap
+    if command == "xi":
+        monkeypatch.setattr(trajectories, "ENUMERATION_CAP", 1)
+    else:
+        monkeypatch.setattr(oracle, "WORK_CAP", 100)
+    oracle.clear_caches()
+    assert run(capsys, command, *args)[0] == 0
+    code, out, err = run(capsys, command, *args, "--verify")
+    oracle.clear_caches()
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("yf: error: ")
 
 
 def _up_steps(n):
     return ",".join(["0", "1"] * n + ["0"])
 
 
+def _down_to(n):
+    return ",".join(map(str, range(n, -1, -1)))
+
+
+def _no_suffix_sum_one(n):
+    # rank n, and no suffix has digit sum 1, so f(x, 1, 0) = 0
+    return "1" * (n - 2) + "2"
+
+
 @pytest.mark.parametrize(
     "command, name, args, what, cap",
     [
         ("down", "count_down", lambda n: ("1" * n, "e"), "rank(x)", cli.RANK_CAP),
-        ("traj", "count_trajectory", lambda n: ("1" * n, "e", "0"), "rank(x)", cli.RANK_CAP),
+        ("down", "count_down", lambda n: ("e", "1" * n), "rank(y)", cli.RANK_Y_CAP),
+        (
+            "traj",
+            "count_trajectory",
+            lambda n: ("1" * n, "e", "0"),
+            "rank(x)",
+            cli.RANK_CAP,
+        ),
+        (
+            "traj",
+            "count_trajectory",
+            lambda n: ("e", "1" * n, _down_to(n)),
+            "rank(y)",
+            cli.RANK_Y_CAP,
+        ),
         (
             "traj",
             "count_trajectory",
@@ -356,6 +391,21 @@ def _up_steps(n):
             "rank(x)",
             cli.SPATHS_RANK_CAP,
         ),
+        (
+            "spaths",
+            "count_s_paths",
+            lambda n: ("e", "1" * n, "1"),
+            "rank(y)",
+            cli.RANK_Y_CAP,
+        ),
+        ("f", "f_rec", lambda n: ("1" * n, "0", "0"), "rank(x)", cli.F_RANK_CAP),
+        (
+            "f",
+            "f_rec",
+            lambda n: (_no_suffix_sum_one(n), "1", "0", "--verify"),
+            "rank(x) with --verify",
+            cli.F_VERIFY_RANK_CAP,
+        ),
     ],
 )
 def test_query_size_caps(capsys, monkeypatch, command, name, args, what, cap):
@@ -365,9 +415,10 @@ def test_query_size_caps(capsys, monkeypatch, command, name, args, what, cap):
         asked.append(a)
         return 0
 
-    monkeypatch.setattr(cli.counts, name, fake_count)
+    # the counts are called through the module, f_rec by its name in cli
+    monkeypatch.setattr(cli if command == "f" else cli.counts, name, fake_count)
     # past the cap: one error line, and nothing is counted
-    for n in (cap + 1, 100_000):
+    for n in (cap + 1, 10 * cap):
         code, out, err = run(capsys, command, *args(n))
         assert code == 1
         assert out == ""
@@ -481,12 +532,88 @@ def test_verify_detects_injected_fault(capsys):
 
 
 def test_verify_cap_blocks_expensive_oracle(capsys):
-    code, out, err = run(
-        capsys, "down", "e", "2222222", "--verify", "--verify-cap", "10"
-    )
+    # rank 32 only, but the descent from 2^16 is ~20,000 words wide
+    code, out, err = run(capsys, "down", "e", "2" * 16, "--verify")
     assert code == 1
     assert out == ""
-    assert err.splitlines() == ["yf: error: rank(y) with --verify must be at most 10, got 14"]
+    assert err.splitlines() == [
+        f"yf: error: the oracle's walk needs more than {oracle.WORK_CAP} units of work"
+    ]
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (EnumerationCapExceeded("too many walks"), 1, "yf: error: too many walks"),
+        (MemoryError(), 1, "yf: error: out of memory"),
+        (KeyboardInterrupt(), 130, "yf: interrupted"),
+    ],
+)
+def test_exceptions_map_to_exit_codes(capsys, monkeypatch, exc, code, line):
+    def raising_run(a):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "down", replace(cli.COMMANDS["down"], run=raising_run))
+    got, out, err = run(capsys, "down", "e", "1")
+    assert got == code
+    assert out == ""
+    assert err.splitlines() == [line]
+
+
+# For each positional of each command, an admitted value and one that no cap
+# admits: an integer, a word or a trajectory.
+_INT = str(10**30)
+_WORD = "2" * 100_000
+_TRAJECTORY = _up_steps(100_000)
+_POSITIONALS = {
+    "down": (("e", _WORD), ("1", _WORD)),
+    "traj": (("e", _WORD), ("1", _WORD), ("1,0", _TRAJECTORY)),
+    "spaths": (("e", _WORD), ("1", _WORD), ("1", _INT)),
+    "f": (("1", _WORD), ("1", _INT), ("1", _INT)),
+    "xi": (("1", _INT), ("1", _INT), ("1", _INT), ("0", _INT)),
+    "level": (("1", _INT),),
+    "dot": (("1", _INT),),
+}
+# Where each command's work starts, past the checks of the CLI and the
+# library, and what a fake returns there.
+_WORK = {
+    "yfpaths.counts.count_down": 0,
+    "yfpaths.counts.count_trajectory": 0,
+    "yfpaths.counts.count_s_paths": 0,
+    "yfpaths.counts.xi_zero": 0,
+    "yfpaths.functions._f_rec": 0,
+    "yfpaths.cli.level": [],
+}
+
+
+def test_every_positional_is_bounded(capsys, monkeypatch):
+    asked = []
+
+    def fake(result):
+        def record(*a):
+            asked.append(a)
+            return result
+
+        return record
+
+    for target, result in _WORK.items():
+        monkeypatch.setattr(target, fake(result))
+    assert set(_POSITIONALS) == set(cli.COMMANDS)
+    for command, entry in cli.COMMANDS.items():
+        assert len(_POSITIONALS[command]) == len(entry.positionals)
+        admitted = [value for value, _ in _POSITIONALS[command]]
+        # the admitted values reach the work, so the fakes stand where it runs
+        asked.clear()
+        assert run(capsys, command, *admitted)[0] == 0, command
+        assert asked, command
+        for k, (_, oversize) in enumerate(_POSITIONALS[command]):
+            argv = (command, *admitted[:k], oversize, *admitted[k + 1:])
+            asked.clear()
+            code, out, err = run(capsys, *argv)
+            label = f"{command} positional {k}"
+            assert (code, out, len(err.splitlines())) == (1, "", 1), label
+            assert err.startswith("yf: error: "), label
+            assert asked == [], label
 
 
 def test_verify_rejects_negative_bounds(capsys):

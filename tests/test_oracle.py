@@ -1,12 +1,18 @@
 import pytest
 
+import yfpaths.oracle as oracle
 from yfpaths.oracle import (
     brute_count_down,
     brute_count_s,
     brute_count_trajectory,
     brute_xi,
 )
-from yfpaths.trajectories import Trajectory, enumerate_trajectories, reverse
+from yfpaths.trajectories import (
+    EnumerationCapExceeded,
+    Trajectory,
+    enumerate_trajectories,
+    reverse,
+)
 from yfpaths.words import EPSILON, level, parse_word
 
 
@@ -38,6 +44,36 @@ def test_down_deep_chain_does_not_recurse():
     # also what count_down gives)
     assert brute_count_down(EPSILON, w("1" * 2000)) == 1
     assert brute_count_down(w("22"), w("2" + "1" * 700 + "22")) == 703
+
+
+@pytest.fixture
+def small_work_cap(monkeypatch):
+    """Set ``oracle.WORK_CAP`` through the returned function, with no walk
+    memoized under another cap."""
+    oracle.clear_caches()
+    yield lambda cap: monkeypatch.setattr(oracle, "WORK_CAP", cap)
+    oracle.clear_caches()
+
+
+def test_work_bound_stops_every_walk(small_work_cap):
+    small_work_cap(100)
+    y = w("22")
+    with pytest.raises(EnumerationCapExceeded):
+        brute_count_down(EPSILON, y)
+    with pytest.raises(EnumerationCapExceeded):
+        brute_count_trajectory(EPSILON, y, Trajectory((4, 3, 2, 1, 0)))
+    with pytest.raises(EnumerationCapExceeded):
+        brute_count_s(EPSILON, y, 1)
+
+
+def test_work_bound_charges_each_front(small_work_cap):
+    # 11 -> 1 -> e steps from one word of rank 2, then one of rank 1
+    work = (2 + oracle._WORD_COST) + (1 + oracle._WORD_COST)
+    small_work_cap(work - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        brute_count_down(EPSILON, w("11"))
+    small_work_cap(work)
+    assert brute_count_down(EPSILON, w("11")) == 1
 
 
 def test_down_rank_precondition():
