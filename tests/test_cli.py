@@ -327,6 +327,7 @@ def test_xi_upper_endpoint_cap(capsys, monkeypatch):
         ("spaths", ("e", "22", "1")),
         ("xi", ("2", "3", "2", "0")),
     ],
+    ids=["down", "traj", "spaths", "xi"],
 )
 def test_verify_cap_bounds(capsys, monkeypatch, command, args):
     # each oracle stops at its own bound: the walks at the work bound, the
