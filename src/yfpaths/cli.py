@@ -13,17 +13,17 @@ Grammar::
 
 Words are written as '1'/'2' strings with "e" for the empty word;
 trajectories as comma-separated integers.  ``--verify`` recomputes the value
-independently: by the brute-force oracle (S <= 5; for ``xi`` Y <= 8), or for
-``f`` by the closed form.  The oracle stops any walk past a fixed work bound
-(``oracle.WORK_CAP``), 1-1.5 s of walking, and the query then fails.
+independently: by the brute-force oracle, or for ``f`` by the closed form.
+The oracle stops any walk past a fixed work bound (``oracle.WORK_CAP``),
+1-1.5 s of walking, and the query then fails.
 Exit codes: 0 success, 1 usage error, oracle past its work bound or out of
 memory, 2 computation disagreement, 130 interrupted.
 
 The library rejects out-of-range arguments with ``ValueError``, which
 :func:`main` reports as a usage error; this module checks only what the
-library cannot: integer syntax, the oracle caps and the caps on inputs whose
-cost grows without bound.  Every cap is one :func:`_at_most` check, whose
-error reads ``yf: error: <name> must be at most <cap>, got <n>``.
+library cannot: integer syntax and the caps on inputs whose cost grows
+without bound.  Every cap is one :func:`_at_most` check, whose error reads
+``yf: error: <name> must be at most <cap>, got <n>``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import comb
 
 from . import counts, invariants, oracle
 from .functions import InconsistencyError, f_explicit, f_rec
@@ -116,8 +117,8 @@ def run_verification(max_rank: int, max_s: int) -> list[VerifySection]:
     Down-path checks cover every word pair up to ``max_rank``; trajectory
     and S-path checks run on smaller rank caps (their oracles walk every
     path) with up-step counts bounded by ``max_s``; trajectories longer
-    than ``TRAJ_LENGTH_CAP`` are counted as skipped.  Every section records
-    the caps it ran under and its wall-clock time.
+    than ``TRAJ_LENGTH_CAP`` are counted as skipped, without being built.
+    Every section records the caps it ran under and its wall-clock time.
     """
     sections: list[VerifySection] = []
     clock = time.perf_counter()
@@ -156,10 +157,15 @@ def run_verification(max_rank: int, max_s: int) -> list[VerifySection]:
     )
     for x, y in _word_pairs(traj_rank):
         for s in range(max_s + 1):
+            length = y.rank - x.rank + 2 * s
+            if length > TRAJ_LENGTH_CAP:
+                # every walk of the pair has this length; count them without
+                # building them: C(length, s) orders of the steps, less by
+                # reflection the C(length, s - rank x - 1) that go below 0
+                below = s - x.rank - 1
+                sec.skipped += comb(length, s) - (comb(length, below) if below >= 0 else 0)
+                continue
             for t in enumerate_trajectories(x.rank, y.rank, s):
-                if t.length > TRAJ_LENGTH_CAP:
-                    sec.skipped += 1
-                    continue
                 label = "({}, {}, {})"
                 sec.compare(
                     label, counts.count_trajectory, oracle.brute_count_trajectory, x, y, t
@@ -244,9 +250,9 @@ def _int_arg(text: str, name: str) -> int:
 # rank(y) 3000.  ``f`` chains over the digits of x: ``f_rec`` takes up to
 # ~0.3 s at rank(x) 10000 and ~1.5 s at 20000; the closed form under
 # ``--verify`` ~0.4 s at 1000 and ~2.4 s at 2000.  The oracle bounds its own
-# walks (``oracle.WORK_CAP``); ``brute_xi`` enumerates trajectories instead,
-# so ``xi --verify`` keeps a cap on Y.  Each ``verify`` rank costs ~2.2 times
-# the one below, and each S past 4 up to ~2.7 times: (10, 5) takes ~3.4 s.
+# work (``oracle.WORK_CAP``), so ``--verify`` adds a cap only to ``f``.
+# Each ``verify`` rank costs up to ~2.2 times the one below, and each S past 3
+# up to ~1.2 times: (10, 5) takes ~2 s.
 LEVEL_RANK_CAP = 24
 DOT_RANK_CAP = 20
 S_CAP = 20_000
@@ -257,7 +263,6 @@ SPATHS_RANK_CAP = 100
 F_RANK_CAP = 10_000
 F_VERIFY_RANK_CAP = 1000
 XI_Y_CAP = 10_000
-XI_VERIFY_Y_CAP = 8
 VERIFY_RANK_CAP = 10
 VERIFY_S_CAP = 5
 
@@ -293,8 +298,6 @@ def _traj(a) -> tuple[object, Thunk]:
 def _spaths(a) -> tuple[object, Thunk]:
     x, y = _words(a, SPATHS_RANK_CAP)
     s = _at_most("S", _int_arg(a.s, "S"), S_CAP)
-    if a.verify:
-        _at_most("S with --verify", s, VERIFY_S_CAP)
     return counts.count_s_paths(x, y, s), lambda: oracle.brute_count_s(x, y, s)
 
 
@@ -310,9 +313,6 @@ def _xi(a) -> tuple[object, Thunk]:
     # X <= Y, so the cap on Y bounds X too
     X, Y = _int_arg(a.x, "X"), _at_most("Y", _int_arg(a.y, "Y"), XI_Y_CAP)
     s, i = _at_most("S", _int_arg(a.s, "S"), S_CAP), _int_arg(a.i, "I")
-    if a.verify:
-        _at_most("Y with --verify", Y, XI_VERIFY_Y_CAP)
-        _at_most("S with --verify", s, VERIFY_S_CAP)
     return counts.xi(X, Y, s, i), lambda: oracle.brute_xi(X, Y, s, i)
 
 

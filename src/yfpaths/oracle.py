@@ -1,22 +1,22 @@
 """Brute-force path counters: the ground truth the formulas are checked against.
 
-Everything here counts by walking the graph or enumerating trajectories
-directly.  This module deliberately imports only the word model and the
-trajectory model -- never the formula machinery -- so that agreement between
-the two is meaningful evidence.
+Everything here counts by walking directly: the graph, level by level, or
+for the up-value sums the heights of a trajectory, step by step.  This
+module deliberately imports only the word model and the trajectory model --
+never the formula machinery -- so that agreement between the two is
+meaningful evidence.
 
 A walk's cost follows the shape of its fronts, not the rank it starts from:
 1^1000 has one word per level, 2^19 about 150,000 at its widest.  So every
 walk meters its own work and raises :class:`EnumerationCapExceeded` past
-``WORK_CAP``, 1-1.5 s of walking; enumerations stop at
-``trajectories.ENUMERATION_CAP``.
+``WORK_CAP``, 1-1.5 s of walking.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .trajectories import EnumerationCapExceeded, Trajectory, enumerate_trajectories
+from .trajectories import EnumerationCapExceeded, Trajectory
 from .words import Word, predecessors, successors
 
 # Walks kept per memo.  ``verify --max-rank 8 --max-S 3`` comes back to 659
@@ -24,17 +24,24 @@ from .words import Word, predecessors, successors
 # sections come back only to the walks of the current upper word.
 _WALKS = 1 << 10
 
-# Work one walk may do.  Each level charges its front: the number of words in
-# it times their rank, which bounds their digit count, plus _WORD_COST.  On a
-# 2-vCPU host a unit took 0.05-0.09 us in descents and trajectory walks, thin
-# (1^n) or dense (2^k), and up to ~0.15 us in S-path walks from long words,
-# which step both ways; with the constant at 32 dense walks cost 2-5 times as
-# much per unit as thin ones.  The cap stops ``down e 2^19 --verify`` after
-# ~0.9 s and ``spaths e 1^1000 5 --verify`` after ~1.4 s, and admits every
-# descent from a word of rank 3000 or less with one word per level
-# (``1^3000``: 4.9e6 units).
+# Work one walk may do.  A walk over words charges each front the number of
+# words in it times their rank, which bounds their digit count, plus
+# _WORD_COST.  The height walk of ``brute_xi`` charges each front _HEIGHT_COST
+# per entry plus one unit per _BITS_PER_UNIT bits of its values: every step
+# adds or multiplies each value once, and the values gain bits at every
+# up-step, so one entry of 20,000 bits costs ~4 times one of a few bits.  On
+# a 2-vCPU host a unit took 0.05-0.10 us in descents and trajectory walks,
+# thin (1^n) or dense (2^k), 0.07-0.12 us in S-path walks, which step both
+# ways, and 0.12-0.13 us in height walks; with _WORD_COST at 32 dense walks
+# cost 2-5 times as much per unit as thin ones.  The cap stops ``down e 2^19
+# --verify`` after ~0.8 s, ``spaths e 1^1000 5 --verify`` after ~1.0 s and
+# ``xi 0 10000 20000 0 --verify`` after ~1.1 s, and admits every descent from
+# a word of rank 3000 or less with one word per level (``1^3000``: 4.9e6
+# units).
 WORK_CAP = 8_000_000
 _WORD_COST = 128
+_HEIGHT_COST = 5
+_BITS_PER_UNIT = 768
 
 
 @lru_cache(maxsize=1 << 14)
@@ -44,10 +51,10 @@ def _neighbours(w: Word, step: int) -> tuple[Word, ...]:
     return tuple(successors(w) if step == 1 else predecessors(w))
 
 
-def _charge(work: int, words: int, rank: int) -> int:
-    """``work`` plus one level's charge: ``words`` words of rank ``rank``,
-    so of at most ``rank`` digits each.  Past ``WORK_CAP`` the walk stops."""
-    work += words * (rank + _WORD_COST)
+def _charge(work: int, units: int) -> int:
+    """``work`` plus ``units``, one front's charge.  Past ``WORK_CAP`` the
+    walk stops."""
+    work += units
     if work > WORK_CAP:
         raise EnumerationCapExceeded(
             f"the oracle's walk needs more than {WORK_CAP} units of work"
@@ -61,7 +68,7 @@ def _walk(y: Word, steps: tuple[int, ...]) -> dict[Word, int]:
     front: dict[Word, int] = {y: 1}
     rank, work = y.rank, 0
     for step in steps:
-        work = _charge(work, len(front), rank)
+        work = _charge(work, len(front) * (rank + _WORD_COST))
         new: dict[Word, int] = {}
         for w, c in front.items():
             for v in _neighbours(w, step):
@@ -120,7 +127,7 @@ def s_path_distribution(y: Word, X: int, S: int) -> dict[Word, int]:
     front: dict[tuple[Word, int], int] = {(y, 0): 1}
     work = 0
     for _ in range(length):
-        work = _charge(work, len(front), top)
+        work = _charge(work, len(front) * (top + _WORD_COST))
         new: dict[tuple[Word, int], int] = {}
         for (w, used), c in front.items():
             for v in _neighbours(w, -1):
@@ -142,16 +149,34 @@ def brute_count_s(x: Word, y: Word, S: int) -> int:
 
 
 def brute_xi(X: int, Y: int, S: int, i: int = 0) -> int:
-    """Sum over enumerated trajectories of prod_j (up-value_j - i)."""
+    """Sum over trajectories from Y down to X with S up-steps of
+    prod_j (up-value_j - i), by a walk over heights.
+
+    The front maps each height to the weighted number of walks that reach
+    it; a down-step keeps the weight, an up-step to h + 1 multiplies it by
+    h + 1 - i.  Any Y - X + 2S steps from Y that end at X take S up-steps,
+    so the front need not count them; it drops the heights from which X is
+    out of reach in the steps left.  Each front is charged its entries and
+    their bits, which grow with every up-step.
+    """
     if Y < X:
         raise ValueError(f"brute_xi needs Y >= X, got ({X}, {Y})")
-    total = 0
-    for t in enumerate_trajectories(X, Y, S):
-        product = 1
-        for e in t.up_values:
-            product *= e - i
-        total += product
-    return total
+    if X < 0 or S < 0:
+        raise ValueError("X and S must be nonnegative")
+    front: dict[int, int] = {Y: 1}
+    work = 0
+    for left in range(Y - X + 2 * S - 1, -1, -1):  # steps left after this one
+        bits = sum(map(int.bit_length, front.values()))
+        work = _charge(work, len(front) * _HEIGHT_COST + bits // _BITS_PER_UNIT)
+        low, high = max(X - left, 0), X + left  # heights that can still reach X
+        new: dict[int, int] = {}
+        for h, c in front.items():
+            if h > low:
+                new[h - 1] = new.get(h - 1, 0) + c
+            if h < high:
+                new[h + 1] = new.get(h + 1, 0) + c * (h + 1 - i)
+        front = new
+    return front.get(X, 0)
 
 
 def clear_caches() -> None:

@@ -24,8 +24,9 @@ class Word:
     digits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(d not in (1, 2) for d in self.digits):
-            raise ValueError(f"word digits must be 1 or 2, got {self.digits!r}")
+        digits = self.digits
+        if digits.count(1) + digits.count(2) != len(digits):
+            raise ValueError(f"word digits must be 1 or 2, got {digits!r}")
 
     @property
     def rank(self) -> int:

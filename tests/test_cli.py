@@ -9,7 +9,6 @@ import pytest
 import yfpaths.cli as cli
 import yfpaths.functions as functions
 import yfpaths.oracle as oracle
-import yfpaths.trajectories as trajectories
 from yfpaths.cli import hasse_dot, main, run_verification
 from yfpaths.counts import count_s_paths
 from yfpaths.functions import f_explicit
@@ -91,12 +90,21 @@ def test_xi_command(capsys):
     assert code == 0 and "agree" in out
 
 
-def test_xi_verify_cap_limits_y(capsys):
-    code, out, err = run(capsys, "xi", "2", "9", "1", "0", "--verify")
+def _work_bound_line():
+    return f"yf: error: the oracle's walk needs more than {oracle.WORK_CAP} units of work"
+
+
+def test_xi_verify_cap_limits_y(capsys, monkeypatch):
+    # only the oracle's work bound limits Y under --verify: Y = 9 answers, and
+    # far past it the walk stops (at a smaller bound, to stay quick)
+    code, out, _ = run(capsys, "xi", "2", "9", "1", "0", "--verify")
+    assert code == 0
+    assert out.splitlines()[1].endswith(" (agree)")
+    monkeypatch.setattr(oracle, "WORK_CAP", 10**5)
+    code, out, err = run(capsys, "xi", "0", "1000", "1000", "0", "--verify")
     assert code == 1
     assert out == ""
-    assert err.splitlines() == ["yf: error: Y with --verify must be at most 8, got 9"]
-    assert run(capsys, "xi", "2", "8", "1", "0", "--verify")[0] == 0
+    assert err.splitlines() == [_work_bound_line()]
 
 
 @pytest.mark.parametrize("command", ["down", "traj", "spaths", "xi"])
@@ -330,12 +338,8 @@ def test_xi_upper_endpoint_cap(capsys, monkeypatch):
     ids=["down", "traj", "spaths", "xi"],
 )
 def test_verify_cap_bounds(capsys, monkeypatch, command, args):
-    # each oracle stops at its own bound: the walks at the work bound, the
-    # xi sum at the trajectory enumeration cap
-    if command == "xi":
-        monkeypatch.setattr(trajectories, "ENUMERATION_CAP", 1)
-    else:
-        monkeypatch.setattr(oracle, "WORK_CAP", 100)
+    # every oracle walk stops at the one work bound
+    monkeypatch.setattr(oracle, "WORK_CAP", 10)
     oracle.clear_caches()
     assert run(capsys, command, *args)[0] == 0
     code, out, err = run(capsys, command, *args, "--verify")
@@ -433,16 +437,20 @@ def test_query_size_caps(capsys, monkeypatch, command, name, args, what, cap):
     "argv",
     [("spaths", "e", "1", "{}", "--verify"), ("xi", "0", "0", "{}", "0", "--verify")],
 )
-def test_oracle_up_step_cap(capsys, argv):
-    # both oracles take S up to the cap of verify's sweeps
-    cap = cli.VERIFY_S_CAP
-    code, out, err = run(capsys, *(a.format(cap + 1) for a in argv))
-    assert code == 1
-    assert out == ""
-    assert err.splitlines() == [f"yf: error: S with --verify must be at most {cap}, got {cap + 1}"]
-    code, out, _ = run(capsys, *(a.format(cap) for a in argv))
+def test_oracle_up_step_cap(capsys, monkeypatch, argv):
+    # only the oracle's work bound limits S under --verify: past the cap of
+    # verify's sweeps both oracles answer, and at S_CAP their walks stop (at
+    # a smaller bound, to stay quick)
+    code, out, _ = run(capsys, *(a.format(cli.VERIFY_S_CAP + 1) for a in argv))
     assert code == 0
     assert out.splitlines()[1].endswith(" (agree)")
+    monkeypatch.setattr(oracle, "WORK_CAP", 10**5)
+    oracle.clear_caches()
+    code, out, err = run(capsys, *(a.format(cli.S_CAP) for a in argv))
+    oracle.clear_caches()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [_work_bound_line()]
 
 
 def _readme_commands():
@@ -484,19 +492,29 @@ def test_verify_json(capsys):
     assert all(isinstance(s["millis"], float) and s["millis"] >= 0 for s in sections.values())
 
 
-def test_verify_reports_caps_and_skipped(capsys):
-    code, out, _ = run(capsys, "verify", "--max-rank", "5", "--max-S", "3")
+def _verify_lines(capsys, max_rank, max_s):
+    code, out, _ = run(capsys, "verify", "--max-rank", str(max_rank), "--max-S", str(max_s))
     assert code == 0
-    lines = {line.split(" (")[0]: line for line in out.splitlines() if " (" in line}
-    # rank 4 with S = 3 reaches trajectories of length 4 + 2*3 > 8
-    too_long = sum(
+    return {line.split(" (")[0]: line for line in out.splitlines() if " (" in line}
+
+
+def _too_long(max_rank, max_s):
+    """Trajectories longer than 8 between words of rank at most ``max_rank``
+    with at most ``max_s`` up-steps, counted by enumerating them."""
+    return sum(
         t.length > 8
-        for ry in range(5)
+        for ry in range(max_rank + 1)
         for rx in range(ry + 1)
         for _pair in range(len(level(ry)) * len(level(rx)))
-        for s in range(4)
+        for s in range(max_s + 1)
         for t in enumerate_trajectories(rx, ry, s)
     )
+
+
+def test_verify_reports_caps_and_skipped(capsys):
+    lines = _verify_lines(capsys, 5, 3)
+    # rank 4 with S = 3 reaches trajectories of length 4 + 2*3 > 8
+    too_long = _too_long(4, 3)
     assert too_long > 0
     traj = lines["trajectory-paths"]
     assert traj.startswith("trajectory-paths (rank <= 4, S <= 3, length <= 8): ")
@@ -506,6 +524,10 @@ def test_verify_reports_caps_and_skipped(capsys):
     assert lines["identity: hook factorial"].startswith("identity: hook factorial (digits <= 5): ")
     assert "skipped" not in lines["s-paths"]
     assert all(" ms, " in line.split("): ", 1)[1] for line in lines.values())
+    # at S = 5 nearly every walk is too long
+    traj = _verify_lines(capsys, 4, 5)["trajectory-paths"]
+    assert traj.startswith("trajectory-paths (rank <= 4, S <= 5, length <= 8): ")
+    assert traj.endswith(f" checks, {_too_long(4, 5)} skipped, ok")
 
 
 def test_verify_trivial_rank_zero(capsys):
@@ -537,9 +559,7 @@ def test_verify_cap_blocks_expensive_oracle(capsys):
     code, out, err = run(capsys, "down", "e", "2" * 16, "--verify")
     assert code == 1
     assert out == ""
-    assert err.splitlines() == [
-        f"yf: error: the oracle's walk needs more than {oracle.WORK_CAP} units of work"
-    ]
+    assert err.splitlines() == [_work_bound_line()]
 
 
 @pytest.mark.parametrize(

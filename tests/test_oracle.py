@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 import yfpaths.oracle as oracle
@@ -64,6 +66,8 @@ def test_work_bound_stops_every_walk(small_work_cap):
         brute_count_trajectory(EPSILON, y, Trajectory((4, 3, 2, 1, 0)))
     with pytest.raises(EnumerationCapExceeded):
         brute_count_s(EPSILON, y, 1)
+    with pytest.raises(EnumerationCapExceeded):
+        brute_xi(0, 8, 5, 0)
 
 
 def test_work_bound_charges_each_front(small_work_cap):
@@ -74,6 +78,18 @@ def test_work_bound_charges_each_front(small_work_cap):
         brute_count_down(EPSILON, w("11"))
     small_work_cap(work)
     assert brute_count_down(EPSILON, w("11")) == 1
+
+
+def test_height_walk_charges_entries_and_bits(small_work_cap):
+    # 0 -> 1 -> 0 steps from one height whose value has 1 bit, then from one
+    # whose value, 1 - i, has 2001 bits
+    i = -(1 << 2000)
+    work = oracle._HEIGHT_COST + (oracle._HEIGHT_COST + 2001 // oracle._BITS_PER_UNIT)
+    small_work_cap(work - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        brute_xi(0, 0, 1, i)
+    small_work_cap(work)
+    assert brute_xi(0, 0, 1, i) == 1 - i
 
 
 def test_down_rank_precondition():
@@ -142,6 +158,28 @@ def test_xi_no_up_steps():
         for X in range(Y + 1):
             for i in range(X + 1):
                 assert brute_xi(X, Y, 0, i) == 1
+    # the walk drops heights that cannot come back down to X in time, so
+    # its front stays one height wide here
+    assert brute_xi(0, 10_000, 0, 0) == 1
+
+
+def test_xi_walk_matches_enumeration():
+    # the reference multiplies out the up-values of every trajectory; one
+    # enumeration serves every shift i
+    for Y in range(9):
+        for X in range(Y + 1):
+            for S in range(6):
+                ups = [t.up_values for t in enumerate_trajectories(X, Y, S)]
+                for i in range(X + 1):
+                    want = sum(prod(e - i for e in u) for u in ups)
+                    assert brute_xi(X, Y, S, i) == want, (X, Y, S, i)
+
+
+def test_xi_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        brute_xi(-1, 0, 1)
+    with pytest.raises(ValueError):
+        brute_xi(0, 0, -1)
 
 
 def test_xi_small_values():
