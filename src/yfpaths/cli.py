@@ -48,6 +48,10 @@ EXIT_INTERRUPTED = 130
 
 Thunk = Callable[[], object]
 
+# Longest error line: messages quote the user's values, which may run to
+# thousands of digits
+ERROR_LINE_CAP = 200
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract reserves 2 for
@@ -482,20 +486,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run_verify(args) if args.command == "verify" else _run_query(args)
     except (ValueError, EnumerationCapExceeded) as exc:
-        print(f"yf: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        line, code = f"yf: error: {exc}", EXIT_USAGE
     except MemoryError:
-        print("yf: error: out of memory", file=sys.stderr)
-        return EXIT_USAGE
+        line, code = "yf: error: out of memory", EXIT_USAGE
     except InconsistencyError as exc:
-        print(f"yf: internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_DISAGREE
+        line, code = f"yf: internal inconsistency: {exc}", EXIT_DISAGREE
     except KeyboardInterrupt:
-        print("yf: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        line, code = "yf: interrupted", EXIT_INTERRUPTED
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+    if len(line) > ERROR_LINE_CAP:
+        line = line[: ERROR_LINE_CAP - 1] + "…"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .functions import InconsistencyError, g_values, weight_row
 from .trajectories import Trajectory
@@ -106,14 +106,10 @@ def count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
 
 
 def odd_double_factorial(n: int) -> int:
-    """n!! for odd n, with (-1)!! = 1."""
+    """n!! for odd n, with (-1)!! = 1: (2S - 1)!! = (2S)! / (S! 2^S) for n = 2S - 1."""
     if n < -1 or n % 2 == 0:
         raise ValueError(f"odd double factorial undefined for {n}")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return perm(n + 1, (n + 1) // 2) >> ((n + 1) // 2)
 
 
 def xi_zero(Y: int, S: int) -> int:

@@ -72,10 +72,6 @@ def parse_word(text: str) -> Word:
     return Word(tuple(int(ch) for ch in text))
 
 
-def concat(x: Word, y: Word) -> Word:
-    return Word(x.digits + y.digits)
-
-
 def predecessors(w: Word) -> list[Word]:
     """Neighbours one rank down, ordered.
 

@@ -195,6 +195,30 @@ def test_library_range_errors_exit_one(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+_DIGITS = "7" * 3001
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("xi", "0", "0", "5", _DIGITS),
+        ("xi", _DIGITS, "1", "1", "0"),
+        ("f", "1", _DIGITS, "0"),
+        ("spaths", "e", "1", _DIGITS),
+        ("traj", "e", "1", _DIGITS),
+        ("spaths", "e", "1", "7" * 131_000),
+    ],
+    ids=["xi-I", "xi-X", "f-Y", "spaths-S", "traj", "spaths-S-131000"],
+)
+def test_error_lines_are_short(capsys, argv):
+    # each message quotes a value of thousands of digits; the line is clipped
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("yf: error: ")
+    assert len(line) == cli.ERROR_LINE_CAP and line.endswith("…")
+
+
 def _parse_int_in_chunks(text):
     # int(text) itself is subject to the interpreter's digit limit
     value = 0

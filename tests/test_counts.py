@@ -5,6 +5,7 @@ from math import comb, factorial, prod
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from reference import reverse, trajectory_from_sequence
 from yfpaths import counts
 from yfpaths.counts import (
     _as_count,
@@ -20,12 +21,7 @@ from yfpaths.counts import (
 )
 from yfpaths.functions import InconsistencyError, weight_row
 from yfpaths.oracle import brute_count_s, brute_count_trajectory, brute_xi
-from yfpaths.trajectories import (
-    Trajectory,
-    enumerate_trajectories,
-    reverse,
-    trajectory_from_sequence,
-)
+from yfpaths.trajectories import Trajectory, enumerate_trajectories
 from yfpaths.words import EPSILON, Word, level, parse_word, predecessors, successors
 
 
@@ -124,6 +120,14 @@ def test_odd_double_factorial():
         odd_double_factorial(4)
     with pytest.raises(ValueError):
         odd_double_factorial(-3)
+
+
+def test_odd_double_factorial_matches_plain_product():
+    product = 1  # (-1)!!
+    for n in range(-1, 2002, 2):
+        if n > 1:
+            product *= n
+        assert odd_double_factorial(n) == product, n
 
 
 def test_xi_zero_values():

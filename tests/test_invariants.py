@@ -7,6 +7,7 @@ from yfpaths.invariants import (
     _products_equal,
     check_equal_rank_symmetry,
     check_prefix_extension,
+    tally,
 )
 from yfpaths.words import parse_word
 
@@ -51,5 +52,5 @@ def test_suites_flag_one_wrong_f_value(suite, expected):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariants, "f_rec", f_rec)
-        _, failures = suite(3)
+        _, failures = tally(suite(3))
     assert set(failures) == expected

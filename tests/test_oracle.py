@@ -2,6 +2,7 @@ from math import prod
 
 import pytest
 
+from reference import reverse
 import yfpaths.oracle as oracle
 from yfpaths.oracle import (
     brute_count_down,
@@ -13,7 +14,6 @@ from yfpaths.trajectories import (
     EnumerationCapExceeded,
     Trajectory,
     enumerate_trajectories,
-    reverse,
 )
 from yfpaths.words import EPSILON, level, parse_word
 

@@ -74,3 +74,45 @@ def test_every_memo_is_bounded():
                 memos.append(f"{info.name}.{name}")
                 assert value.cache_info().maxsize is not None, memos[-1]
     assert "oracle._down" in memos
+
+
+# Definitions in src/ that nothing in src/ calls, each with its caller.
+CALLED_FROM_OUTSIDE = {
+    "functions.weight": "hooked by perfbench/spans.py",
+    "counts.count_s_paths_from_top": "the check of perfbench's spaths-wide workload",
+    "functions.clear_caches": "documented in the README",
+    "oracle.clear_caches": "documented in the README",
+    "cli._Parser.error": "called by argparse",
+    "words.Word.twos": "a documented property of the public Word, read by tests",
+    "trajectories.Trajectory.length": "a property of the public Trajectory, read by tests",
+}
+
+
+def test_src_defines_only_what_src_runs():
+    # every function, class and method is reached from src/ itself, is in
+    # the public API, or has a named caller outside; a method is reached
+    # only as an attribute, a module-level name either way (xi, counts.xi)
+    defined, names, attributes = {}, set(), set()
+    for path in sorted((ROOT / "src" / "yfpaths").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = (node.name, False)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not (item.name.startswith("__") and item.name.endswith("__")):
+                            defined[f"{path.stem}.{node.name}.{item.name}"] = (item.name, True)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    unreached = {
+        label
+        for label, (name, is_method) in defined.items()
+        if name not in attributes
+        and (is_method or name not in names)
+        and name not in yfpaths.__all__
+    }
+    assert unreached == set(CALLED_FROM_OUTSIDE)

@@ -1,11 +1,11 @@
 from hypothesis import given, strategies as st
 import pytest
 
+from reference import concat
 from yfpaths.words import (
     EPSILON,
     Word,
     common_suffix_len,
-    concat,
     level,
     parse_word,
     predecessors,
