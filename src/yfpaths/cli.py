@@ -5,8 +5,8 @@ Grammar::
     yf down X Y [--verify] [--json]            (rank X <= 1000, rank Y <= 3000)
     yf traj X Y DELTA [--verify] [--json]      (the same, and <= 1000 up-steps)
     yf spaths X Y S [--verify] [--json]        (rank X <= 100, rank Y <= 3000, S <= 20000)
-    yf f X Y Z [--verify] [--json]             (rank X <= 10000, 1000 with --verify)
-    yf xi X Y S I [--verify] [--json]          (Y <= 10000, S <= 20000)
+    yf f X Y Z [--verify] [--json]             (rank X <= 10000, 1000 with --verify; Y, Z <= 10000)
+    yf xi X Y S I [--verify] [--json]          (I <= X <= Y <= 10000, S <= 20000)
     yf level N [--json]                        (N <= 24)
     yf dot N [--json]                          (N <= 20)
     yf verify [--max-rank N] [--max-S K] [--json]   (N <= 10, K <= 5)
@@ -15,7 +15,12 @@ Words are written as '1'/'2' strings with "e" for the empty word;
 trajectories as comma-separated integers.  ``--verify`` recomputes the value
 independently: by the brute-force oracle, or for ``f`` by the closed form.
 The oracle stops any walk past a fixed work bound (``oracle.WORK_CAP``),
-1-1.5 s of walking, and the query then fails.
+1-1.5 s of walking, and the query then fails.  ``verify`` runs sections of
+checks, each one entry of the table in :func:`run_verification`: every
+count formula against the oracle on all small cases (``down-from-top``
+compares the closed form prod_j g(x, j) with the oracle's descent count),
+the identity suites of :mod:`yfpaths.invariants`, and out-degree =
+in-degree + 1.
 Exit codes: 0 success, 1 usage error, oracle past its work bound or out of
 memory, 2 computation disagreement, 130 interrupted.
 
@@ -23,7 +28,9 @@ The library rejects out-of-range arguments with ``ValueError``, which
 :func:`main` reports as a usage error; this module checks only what the
 library cannot: integer syntax and the caps on inputs whose cost grows
 without bound.  Every cap is one :func:`_at_most` check, whose error reads
-``yf: error: <name> must be at most <cap>, got <n>``.
+``yf: error: <name> must be at most <cap>, got <n>``, where an n past 2**64
+is quoted by its bit length; every error line, argparse's too, is cut at
+``ERROR_LINE_CAP`` characters.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 from . import counts, invariants, oracle
@@ -53,12 +61,16 @@ Thunk = Callable[[], object]
 ERROR_LINE_CAP = 200
 
 
+def _clipped(line: str) -> str:
+    return line if len(line) <= ERROR_LINE_CAP else line[: ERROR_LINE_CAP - 1] + "…"
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract reserves 2 for
     # computation disagreement, so remap to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, _clipped(f"{self.prog}: error: {message}") + "\n")
 
 
 def _result(command, args, value, oracle_value=None, agree=None, millis=0.0) -> dict:
@@ -84,20 +96,6 @@ class VerifySection:
     failures: list[str] = field(default_factory=list)
     millis: float = 0.0
 
-    def compare(self, label: str, formula: Callable, brute: Callable, *args) -> None:
-        """One check of ``formula(*args)`` against ``brute(*args)``; an
-        inconsistency inside the formula counts as a failure.  ``label`` is
-        formatted with ``args`` only on failure."""
-        self.checks += 1
-        try:
-            got = formula(*args)
-        except InconsistencyError as exc:
-            self.failures.append(f"{label.format(*args)}: {exc}")
-            return
-        want = brute(*args)
-        if got != want:
-            self.failures.append(f"{label.format(*args)}: formula {got} != oracle {want}")
-
 
 def _millis(seconds: float) -> float:
     return round(seconds * 1000.0, 3)
@@ -112,7 +110,37 @@ def _word_pairs(max_rank: int):
                     yield x, y
 
 
+def _agreements(formula: Callable, reference: Callable, label: str, cases) -> invariants.Outcomes:
+    """For each case, a tuple of arguments: True when ``formula`` and
+    ``reference`` agree on it, else its failure label, formatted with the
+    case.  An inconsistency inside the formula is a failure too."""
+    for case in cases:
+        try:
+            got = formula(*case)
+        except InconsistencyError as exc:
+            yield f"{label.format(*case)}: {exc}"
+            continue
+        want = reference(*case)
+        yield got == want or f"{label.format(*case)}: {got} != {want}"
+
+
 TRAJ_LENGTH_CAP = 8
+
+
+def _too_long(max_rank: int, max_s: int) -> int:
+    """The walks between words of rank at most ``max_rank`` with at most
+    ``max_s`` up-steps that are longer than ``TRAJ_LENGTH_CAP``, counted by
+    the ballot number without building them."""
+    skipped = 0
+    for x, y in _word_pairs(max_rank):
+        for s in range(max_s + 1):
+            length = y.rank - x.rank + 2 * s
+            if length > TRAJ_LENGTH_CAP:
+                # C(length, s) orders of the steps, less by reflection the
+                # C(length, s - rank x - 1) that go below 0
+                below = s - x.rank - 1
+                skipped += comb(length, s) - (comb(length, below) if below >= 0 else 0)
+    return skipped
 
 
 def run_verification(max_rank: int, max_s: int) -> list[VerifySection]:
@@ -124,89 +152,52 @@ def run_verification(max_rank: int, max_s: int) -> list[VerifySection]:
     than ``TRAJ_LENGTH_CAP`` are counted as skipped, without being built.
     Every section records the caps it ran under and its wall-clock time.
     """
-    sections: list[VerifySection] = []
-    clock = time.perf_counter()
+    traj_rank, spath_rank, xi_rank = min(max_rank, 4), min(max_rank, 5), min(max_rank, 6)
+    digits, degree_rank = min(max_rank, 6), min(max_rank, 8)
 
-    def close(sec: VerifySection) -> None:
-        # sections run one after another: each one's time is the time since
-        # the previous one closed
-        nonlocal clock
-        now = time.perf_counter()
-        sec.millis = _millis(now - clock)
-        clock = now
-        sections.append(sec)
+    def sweep(formula, reference, label, cases):
+        return partial(invariants.tally, _agreements(formula, reference, label, cases))
 
-    sec = VerifySection("down-paths", {"rank": max_rank})
-    for x, y in _word_pairs(max_rank):
-        sec.compare("({}, {})", counts.count_down, oracle.brute_count_down, x, y)
-    close(sec)
+    def suite(entry):
+        # run_invariant_suites gives [(name, checks, failures)]
+        return lambda: invariants.run_invariant_suites(digits, [entry])[0][1:]
 
-    sec = VerifySection("down-from-top", {"rank": max_rank})
-    for n in range(max_rank + 1):
-        for x in level(n):
-            sec.checks += 1
-            try:
-                got = counts.count_down_from_top(x)
-                full = counts.count_down(EPSILON, x)
-            except InconsistencyError as exc:
-                sec.failures.append(f"({x}): {exc}")
-                continue
-            if got != full or got != oracle.brute_count_down(EPSILON, x):
-                sec.failures.append(f"({x}): closed form {got} disagrees")
-    close(sec)
+    def words(rank):
+        return ((w,) for n in range(rank + 1) for w in level(n))
 
-    traj_rank = min(max_rank, 4)
-    sec = VerifySection(
-        "trajectory-paths", {"rank": traj_rank, "S": max_s, "length": TRAJ_LENGTH_CAP}
-    )
-    for x, y in _word_pairs(traj_rank):
-        for s in range(max_s + 1):
-            length = y.rank - x.rank + 2 * s
-            if length > TRAJ_LENGTH_CAP:
-                # every walk of the pair has this length; count them without
-                # building them: C(length, s) orders of the steps, less by
-                # reflection the C(length, s - rank x - 1) that go below 0
-                below = s - x.rank - 1
-                sec.skipped += comb(length, s) - (comb(length, below) if below >= 0 else 0)
-                continue
-            for t in enumerate_trajectories(x.rank, y.rank, s):
-                label = "({}, {}, {})"
-                sec.compare(
-                    label, counts.count_trajectory, oracle.brute_count_trajectory, x, y, t
-                )
-    close(sec)
-
-    spath_rank = min(max_rank, 5)
-    sec = VerifySection("s-paths", {"rank": spath_rank, "S": max_s})
-    for x, y in _word_pairs(spath_rank):
-        for s in range(max_s + 1):
-            sec.compare("({}, {}, S={})", counts.count_s_paths, oracle.brute_count_s, x, y, s)
-    close(sec)
-
-    xi_rank = min(max_rank, 6)
-    sec = VerifySection("up-value sums", {"rank": xi_rank, "S": max_s})
-    for Y in range(xi_rank + 1):
-        for X in range(Y + 1):
-            for s in range(max_s + 1):
-                for i in range(X + 1):
-                    label = "(X={}, Y={}, S={}, i={})"
-                    sec.compare(label, counts.xi, oracle.brute_xi, X, Y, s, i)
-    close(sec)
-
-    digits = min(max_rank, 6)
-    for suite in invariants.INVARIANT_SUITES:
-        [(name, checks, failures)] = invariants.run_invariant_suites(digits, [suite])
-        close(VerifySection(f"identity: {name}", {"digits": digits}, checks, failures=failures))
-
-    degree_rank = min(max_rank, 8)
-    sec = VerifySection("out-degree = in-degree + 1", {"rank": degree_rank})
-    for n in range(degree_rank + 1):
-        for w in level(n):
-            sec.checks += 1
-            if len(successors(w)) != len(predecessors(w)) + 1:
-                sec.failures.append(f"degree mismatch at {w}")
-    close(sec)
-
+    # name, caps, skipped, and a thunk that returns (checks, failure labels);
+    # the cases are generators, so no check runs before its thunk is called
+    table = [
+        ("down-paths", {"rank": max_rank}, 0, sweep(
+            counts.count_down, oracle.brute_count_down, "({}, {})", _word_pairs(max_rank))),
+        ("down-from-top", {"rank": max_rank}, 0, sweep(
+            counts.count_down_from_top, partial(oracle.brute_count_down, EPSILON), "({})",
+            words(max_rank))),
+        ("trajectory-paths", {"rank": traj_rank, "S": max_s, "length": TRAJ_LENGTH_CAP},
+         _too_long(traj_rank, max_s), sweep(
+            counts.count_trajectory, oracle.brute_count_trajectory, "({}, {}, {})",
+            ((x, y, t) for x, y in _word_pairs(traj_rank) for s in range(max_s + 1)
+             if y.rank - x.rank + 2 * s <= TRAJ_LENGTH_CAP
+             for t in enumerate_trajectories(x.rank, y.rank, s)))),
+        ("s-paths", {"rank": spath_rank, "S": max_s}, 0, sweep(
+            counts.count_s_paths, oracle.brute_count_s, "({}, {}, S={})",
+            ((x, y, s) for x, y in _word_pairs(spath_rank) for s in range(max_s + 1)))),
+        ("up-value sums", {"rank": xi_rank, "S": max_s}, 0, sweep(
+            counts.xi, oracle.brute_xi, "(X={}, Y={}, S={}, i={})",
+            ((X, Y, s, i) for Y in range(xi_rank + 1) for X in range(Y + 1)
+             for s in range(max_s + 1) for i in range(X + 1)))),
+        *((f"identity: {entry[0]}", {"digits": digits}, 0, suite(entry))
+          for entry in invariants.INVARIANT_SUITES),
+        ("out-degree = in-degree + 1", {"rank": degree_rank}, 0, sweep(
+            lambda w: len(successors(w)), lambda w: len(predecessors(w)) + 1, "degree at {}",
+            words(degree_rank))),
+    ]
+    sections = []
+    for name, caps, skipped, run in table:
+        start = time.perf_counter()
+        checks, failures = run()
+        millis = _millis(time.perf_counter() - start)
+        sections.append(VerifySection(name, caps, checks, skipped, failures, millis))
     return sections
 
 
@@ -224,13 +215,22 @@ def hasse_dot(max_rank: int) -> str:
     return "\n".join(lines)
 
 
+def _quoted(value: int) -> str:
+    """``value`` for an error line; past 2**64 only its bit length, since
+    formatting a number of many thousands of digits takes longer than the
+    rest of the query."""
+    if abs(value) <= 2**64:
+        return str(value)
+    return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit number"
+
+
 def _int_arg(text: str, name: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
     if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+        raise ValueError(f"{name} must be nonnegative, got {_quoted(value)}")
     return value
 
 
@@ -274,7 +274,7 @@ VERIFY_S_CAP = 5
 def _at_most(name: str, value: int, cap: int) -> int:
     """``value``, once it is within ``cap``; past it, a usage error."""
     if value > cap:
-        raise ValueError(f"{name} must be at most {cap}, got {value}")
+        raise ValueError(f"{name} must be at most {cap}, got {_quoted(value)}")
     return value
 
 
@@ -306,17 +306,22 @@ def _spaths(a) -> tuple[object, Thunk]:
 
 
 def _f(a) -> tuple[object, Thunk]:
-    x, y, z = parse_word(a.x), _int_arg(a.y, "Y"), _int_arg(a.z, "Z")
+    x = parse_word(a.x)
     _at_most("rank(x)", x.rank, F_RANK_CAP)
+    # the library takes Y <= rank(x) and Z <= digits(x), within the same cap
+    y = _at_most("Y", _int_arg(a.y, "Y"), F_RANK_CAP)
+    z = _at_most("Z", _int_arg(a.z, "Z"), F_RANK_CAP)
     if a.verify:
         _at_most("rank(x) with --verify", x.rank, F_VERIFY_RANK_CAP)
     return f_rec(x, y, z), lambda: f_explicit(x, y, z)
 
 
 def _xi(a) -> tuple[object, Thunk]:
-    # X <= Y, so the cap on Y bounds X too
-    X, Y = _int_arg(a.x, "X"), _at_most("Y", _int_arg(a.y, "Y"), XI_Y_CAP)
-    s, i = _at_most("S", _int_arg(a.s, "S"), S_CAP), _int_arg(a.i, "I")
+    # the library takes I <= X <= Y, within the cap on Y
+    X = _at_most("X", _int_arg(a.x, "X"), XI_Y_CAP)
+    Y = _at_most("Y", _int_arg(a.y, "Y"), XI_Y_CAP)
+    s = _at_most("S", _int_arg(a.s, "S"), S_CAP)
+    i = _at_most("I", _int_arg(a.i, "I"), XI_Y_CAP)
     return counts.xi(X, Y, s, i), lambda: oracle.brute_xi(X, Y, s, i)
 
 
@@ -445,17 +450,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     if args.json:
         verify_args = [str(args.max_rank), str(args.max_s)]
         payload = _result("verify", verify_args, summary, agree=not failures, millis=millis)
-        payload["sections"] = [
-            {
-                "name": s.name,
-                "checks": s.checks,
-                "failures": len(s.failures),
-                "skipped": s.skipped,
-                "caps": s.caps,
-                "millis": s.millis,
-            }
-            for s in sections
-        ]
+        payload["sections"] = [{**vars(s), "failures": len(s.failures)} for s in sections]
         print(json.dumps(payload))
     else:
         for section in sections:
@@ -496,9 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
-    if len(line) > ERROR_LINE_CAP:
-        line = line[: ERROR_LINE_CAP - 1] + "…"
-    print(line, file=sys.stderr)
+    print(_clipped(line), file=sys.stderr)
     return code
 
 

@@ -199,24 +199,52 @@ _DIGITS = "7" * 3001
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, want",
     [
-        ("xi", "0", "0", "5", _DIGITS),
-        ("xi", _DIGITS, "1", "1", "0"),
-        ("f", "1", _DIGITS, "0"),
-        ("spaths", "e", "1", _DIGITS),
-        ("traj", "e", "1", _DIGITS),
-        ("spaths", "e", "1", "7" * 131_000),
+        (("xi", "0", "0", "5", _DIGITS), "I must be at most 10000, got a 9969-bit number"),
+        (("xi", _DIGITS, "1", "1", "0"), "X must be at most 10000, got a 9969-bit number"),
+        (("f", "1", _DIGITS, "0"), "Y must be at most 10000, got a 9969-bit number"),
+        (("spaths", "e", "1", _DIGITS), "S must be at most 20000, got a 9969-bit number"),
+        (("traj", "e", "1", _DIGITS), None),
+        (
+            ("spaths", "e", "1", "7" * 131_000),
+            "S must be at most 20000, got a 435173-bit number",
+        ),
+        (("verify", "--max-rank", "x" * 3001), None),
+        (("down", "1", "2", _DIGITS), None),
+        (("verify", "--max-S", "7" * 5000), None),
     ],
-    ids=["xi-I", "xi-X", "f-Y", "spaths-S", "traj", "spaths-S-131000"],
+    ids=[
+        "xi-I",
+        "xi-X",
+        "f-Y",
+        "spaths-S",
+        "traj",
+        "spaths-S-131000",
+        "verify-max-rank-text",
+        "unrecognized-argument",
+        "verify-max-S-5000",
+    ],
 )
-def test_error_lines_are_short(capsys, argv):
-    # each message quotes a value of thousands of digits; the line is clipped
+def test_error_lines_are_short(capsys, argv, want):
+    # each value runs to thousands of digits: a cap quotes its bit length,
+    # and any other message that quotes it is clipped; argparse's errors
+    # follow their usage line
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    [line] = err.splitlines()
-    assert line.startswith("yf: error: ")
-    assert len(line) == cli.ERROR_LINE_CAP and line.endswith("…")
+    lines = err.splitlines()
+    assert all(len(line) <= cli.ERROR_LINE_CAP for line in lines)
+    if want is not None:
+        assert lines == [f"yf: error: {want}"]
+    elif argv[0] == "traj":
+        [line] = lines
+        assert line.startswith("yf: error: ")
+        assert len(line) == cli.ERROR_LINE_CAP and line.endswith("…")
+    else:
+        usage, line = lines
+        assert usage.startswith("usage: yf")
+        assert line.startswith(("yf: error: ", "yf verify: error: "))
+        assert len(line) == cli.ERROR_LINE_CAP and line.endswith("…")
 
 
 def _parse_int_in_chunks(text):
@@ -320,11 +348,12 @@ def test_up_step_cap(capsys, monkeypatch, command, name, args):
         return 0
 
     monkeypatch.setattr(cli.counts, name, fake_count)
-    for s in (cli.S_CAP + 1, 10**20):
+    # a value past 2**64 is quoted by its bit length
+    for s, quoted in ((cli.S_CAP + 1, str(cli.S_CAP + 1)), (10**20, "a 67-bit number")):
         code, out, err = run(capsys, command, *(a.format(s) for a in args))
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [f"yf: error: S must be at most {cli.S_CAP}, got {s}"]
+        assert err.splitlines() == [f"yf: error: S must be at most {cli.S_CAP}, got {quoted}"]
     assert asked == []
     assert run(capsys, command, *(a.format(cli.S_CAP) for a in args))[0] == 0
     assert cli.S_CAP in asked[0]
@@ -338,13 +367,12 @@ def test_xi_upper_endpoint_cap(capsys, monkeypatch):
         return 0
 
     monkeypatch.setattr(cli.counts, "xi", fake_xi)
-    # past the cap: one error line, and nothing is summed; X <= Y, so the
-    # cap on Y covers X
-    for y in (cli.XI_Y_CAP + 1, 10**30):
+    # past the cap: one error line, and nothing is summed
+    for y, quoted in ((cli.XI_Y_CAP + 1, str(cli.XI_Y_CAP + 1)), (10**30, "a 100-bit number")):
         code, out, err = run(capsys, "xi", "0", str(y), "20000", "0")
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [f"yf: error: Y must be at most {cli.XI_Y_CAP}, got {y}"]
+        assert err.splitlines() == [f"yf: error: Y must be at most {cli.XI_Y_CAP}, got {quoted}"]
     assert asked == []
     cap = str(cli.XI_Y_CAP)
     assert run(capsys, "xi", cap, cap, "20000", "0")[0] == 0
@@ -576,6 +604,78 @@ def test_verify_detects_injected_fault(capsys):
         assert "FAIL" in out
     functions.clear_caches()
     oracle.clear_caches()
+
+
+# (name, checks, skipped) of every verify section, as counted when each
+# section ran its own loop
+_VERIFY_SECTIONS = {
+    (5, 3): [
+        ("down-paths", 252, 0),
+        ("down-from-top", 20, 0),
+        ("trajectory-paths", 3606, 894),
+        ("s-paths", 1008, 0),
+        ("up-value sums", 224, 0),
+        ("identity: base-shift identities", 1926, 0),
+        ("identity: low-order values", 610, 0),
+        ("identity: trailing 2 vs 11", 576, 0),
+        ("identity: base row sum", 62, 0),
+        ("identity: prefix extension", 4854, 0),
+        ("identity: top value vanishes", 384, 0),
+        ("identity: equal-rank symmetry", 4486, 0),
+        ("identity: hook factorial", 63, 0),
+        ("out-degree = in-degree + 1", 20, 0),
+    ],
+    (8, 3): [
+        ("down-paths", 4807, 0),
+        ("down-from-top", 88, 0),
+        ("trajectory-paths", 3606, 894),
+        ("s-paths", 1008, 0),
+        ("up-value sums", 336, 0),
+        ("identity: base-shift identities", 4614, 0),
+        ("identity: low-order values", 1474, 0),
+        ("identity: trailing 2 vs 11", 1344, 0),
+        ("identity: base row sum", 126, 0),
+        ("identity: prefix extension", 13814, 0),
+        ("identity: top value vanishes", 896, 0),
+        ("identity: equal-rank symmetry", 20538, 0),
+        ("identity: hook factorial", 127, 0),
+        ("out-degree = in-degree + 1", 88, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "caps, total", [((5, 3), 18_091), ((8, 3), 52_866)], ids=["rank5-S3", "rank8-S3"]
+)
+def test_verify_section_counts(caps, total):
+    sections = run_verification(*caps)
+    assert [(s.name, s.checks, s.skipped) for s in sections] == _VERIFY_SECTIONS[caps]
+    assert sum(s.checks for s in sections) == total
+    assert all(s.failures == [] for s in sections)
+
+
+_WORDS_TO_3 = [w for n in range(4) for w in level(n)]
+
+
+@pytest.mark.parametrize(
+    "name, section, cases",
+    [
+        ("count_down_from_top", "down-from-top", [(w,) for w in _WORDS_TO_3]),
+        ("count_down", "down-paths", [(x, y) for y in _WORDS_TO_3 for x in _WORDS_TO_3
+                                      if x.rank <= y.rank]),
+    ],
+    ids=["count_down_from_top", "count_down"],
+)
+def test_verify_catches_off_by_one_counts(monkeypatch, name, section, cases):
+    # each count, one too large, fails its own section at every case, and
+    # each failure label starts with its case
+    original = getattr(cli.counts, name)
+    monkeypatch.setattr(cli.counts, name, lambda *a: original(*a) + 1)
+    failed = {s.name: s.failures for s in run_verification(max_rank=3, max_s=1) if s.failures}
+    assert list(failed) == [section]
+    labels = [f"({', '.join(map(str, case))}): " for case in cases]
+    assert len(failed[section]) == len(labels)
+    assert all(f.startswith(label) for f, label in zip(failed[section], labels))
 
 
 def test_verify_cap_blocks_expensive_oracle(capsys):
