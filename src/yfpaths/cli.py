@@ -242,18 +242,18 @@ def _int_arg(text: str, name: str) -> int:
 # one fraction of small-integer products, which grows with each term, and
 # its value has ~2S log Y digits: X = Y = 10000 at S = 20000 takes ~0.8 s,
 # X = Y = 40000 ~4 s, and X = 0 with Y = 10^9 ~2 s.  The weight row of a
-# count grows as about rank(x)^3: ``down`` and ``traj`` at rank(x) 1000 take
-# 0.4-0.9 s (2.7 s at 2000), and each up-step of a trajectory multiplies
-# every summand once more: 1000 up-steps at rank(x) 1000 take ~0.9 s, 10000
-# take ~26 s.  The chains of the row walk the common suffix, so the cost
-# grows with rank(y) too: with x = 1^1000 and y = 2^k 1^1000, ``down`` takes
-# ~1.3 s at rank(y) 3000, ~2.0 s at 4000 and ~2.7 s at 5000, and ``traj``
-# with 1000 up-steps ~1.8, 2.1 and 2.9 s.  The xi row of ``spaths`` is
-# rank(x) + 1 such sums, each finished by one divide of a (2S - 1)!!-sized
-# number: rank(x) 100 at S = 20000 takes ~0.4 s at rank(y) 150 and ~0.5 s at
-# rank(y) 3000.  ``f`` chains over the digits of x: ``f_rec`` takes up to
-# ~0.3 s at rank(x) 10000 and ~1.5 s at 20000; the closed form under
-# ``--verify`` ~0.4 s at 1000 and ~2.4 s at 2000.  The oracle bounds its own
+# count grows as about rank(x)^3: at rank(x) 1000 it takes 0.2-0.4 s
+# (1.2-2.3 s at 2000), and each up-step of a trajectory multiplies every
+# summand once more: 1000 up-steps at rank(x) 1000 take ~0.9 s, 10000 take
+# ~26 s.  Each entry of the row multiplies one factor per g value of y, so
+# the cost grows with rank(y) too: with x = 1^1000 and y = 2^k 1^1000,
+# ``down`` takes 0.5-0.7 s at rank(y) 3000, ~0.9 s at 4000 and 1.3-1.7 s at
+# 5000, and ``traj`` with 1000 up-steps ~0.8, 1.0 and 1.9 s.  The xi row of
+# ``spaths`` is rank(x) + 1 such sums, each finished by one divide of a
+# (2S - 1)!!-sized number: rank(x) 100 at S = 20000 takes ~0.4 s at rank(y)
+# 150 and ~0.5 s at rank(y) 3000.  ``f`` walks the digits of x: ``f_rec``
+# takes up to ~0.1 s at rank(x) 10000 and ~0.45 s at 20000; the closed form
+# under ``--verify`` ~0.4 s at 1000 and ~2.4 s at 2000.  The oracle bounds its own
 # work (``oracle.WORK_CAP``), so ``--verify`` adds a cap only to ``f``.
 # Each ``verify`` rank costs up to ~2.2 times the one below, and each S past 3
 # up to ~1.2 times: (10, 5) takes ~2 s.
@@ -408,9 +408,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
     rank_help = f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"
-    p.add_argument("--max-rank", type=int, default=6, help=rank_help)
+    p.add_argument("--max-rank", default="6", help=rank_help)
     s_help = f"up-step cap of the sweeps (at most {VERIFY_S_CAP})"
-    p.add_argument("--max-S", dest="max_s", type=int, default=2, help=s_help)
+    p.add_argument("--max-S", dest="max_s", default="2", help=s_help)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -435,12 +435,12 @@ def _run_query(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    if args.max_rank < 0 or args.max_s < 0:
-        raise ValueError("--max-rank and --max-S must be nonnegative")
-    _at_most("--max-rank", args.max_rank, VERIFY_RANK_CAP)
-    _at_most("--max-S", args.max_s, VERIFY_S_CAP)
+    # parsed here, not by argparse, so that a value past the interpreter's
+    # int-to-str digit limit meets the cap rather than a parse error
+    max_rank = _at_most("--max-rank", _int_arg(args.max_rank, "--max-rank"), VERIFY_RANK_CAP)
+    max_s = _at_most("--max-S", _int_arg(args.max_s, "--max-S"), VERIFY_S_CAP)
     start = time.perf_counter()
-    sections = run_verification(args.max_rank, args.max_s)
+    sections = run_verification(max_rank, max_s)
     millis = _millis(time.perf_counter() - start)
     checks = sum(s.checks for s in sections)
     failures = sum(len(s.failures) for s in sections)
@@ -448,7 +448,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         f"{failures} of {checks} checks failed" if failures else f"all {checks} checks passed"
     )
     if args.json:
-        verify_args = [str(args.max_rank), str(args.max_s)]
+        verify_args = [str(max_rank), str(max_s)]
         payload = _result("verify", verify_args, summary, agree=not failures, millis=millis)
         payload["sections"] = [{**vars(s), "failures": len(s.failures)} for s in sections]
         print(json.dumps(payload))

@@ -13,6 +13,15 @@ with h the common-suffix length, is the coefficient array of the counting
 formulas.  Everything is exact: values are ``fractions.Fraction``, except
 ``weight_row``, which gives rank(x)! * weight(x, y, i) for every i as plain
 integers for the counts.
+
+``f_rec`` and ``weight_row`` share one evaluation of the recursion.  The g
+values of x are the m in 0..rank(x) that no suffix digit sum of x hits, so
+rank(x)! * f_base(x, i) is (-1)^i C(rank, i) prod_g (g - i) at a suffix sum
+i and 0 elsewhere.  The recursion from there strips digits of x's suffix and
+divides by (g - i)^2 at each 2; one backward walk over those digits
+(``_walk``) sums it times the factors it would divide by, so neither
+evaluator divides until ``f_rec`` builds its ``Fraction``, and the row
+multiplies in only the factors that remain.
 """
 
 from __future__ import annotations
@@ -95,55 +104,51 @@ def f_base(x: Word, y: int) -> Fraction:
     return Fraction(1, den)
 
 
-def _chain(digits: tuple[int, ...], y: int, z: int, term: int) -> int:
-    """The sum of the f_base terms that the recursion for f(digits, y, z) adds,
-    each scaled by one common factor chosen so that the first one is ``term``.
+def _walk(digits: tuple[int, ...], a: int) -> int:
+    """The chain of the recursion over ``digits``, as an integer.
 
-    The recursion adds f_base at each state and strips a trailing 1 (y and z
-    drop by one), or rewrites a trailing 2 as 11 with z one deeper and the
-    result divided by (1 - y); it stops at z = 0 or y = 0, or gives 0 at a
-    trailing 2 with y = 1.  Between consecutive states the scaled term
-    changes by a small factor (the append-1 and append-2 identities of
-    :mod:`yfpaths.invariants`): after a 1 it is multiplied by -y; a 2 first
-    divides it by (1 - y)^2, then takes two 1-steps.  The caller's scale
-    must make every term an integer; each divide checks that it is exact.
+    The recursion for f(x, y, z) adds f_base at each state and strips a
+    trailing 1 (y and z drop by one), or rewrites a trailing 2 as 11 with z
+    one deeper and the result divided by (1 - y); it stops at z = 0 or y = 0.
+    ``digits`` are the digits it strips, left to right, and ``a`` is y less
+    their sum.  With y' the y at a digit (y less the stripped digits right
+    of it), a 1 multiplies the next term by -y', and a 2 divides it by
+    (1 - y')^2, then takes two 1-steps (the append-1 and append-2 identities
+    of :mod:`yfpaths.invariants`).  The result is the sum of the terms over
+    the first one, times the product of (1 - y')^2 over the stripped 2s.
+    Summed from the last term back, from V = B = 1, each digit maps V to
+    B - y' V, and a 2 then multiplies V by 1 - y' and B by (1 - y')^2, so
+    nothing is divided.
     """
-    total = 0
-    for d in reversed(digits[len(digits) - z:]):  # the last z digits, right to left
-        if y == 0:
-            break
-        if d == 1:
-            total += term
-            term *= -y
-            y -= 1
-        elif y == 1:
-            return total
-        else:
-            term, rest = divmod(term, (1 - y) ** 2)
-            if rest:
-                raise InconsistencyError(f"inexact chain step at a 2 with y={y}")
-            total += term
-            term *= -y
-            total += term
-            term *= 1 - y
-            y -= 2
-    return total + term
+    v = b = 1
+    for d in digits:
+        a += d  # y' at this digit
+        v = b - a * v
+        if d == 2:
+            u = 1 - a
+            v *= u
+            b *= u * u
+    return v
 
 
 @lru_cache(maxsize=1 << 12)
-def _f_start(digits: tuple[int, ...], y: int) -> tuple[int, int]:
-    """(scale, scale * f_base(x, y)): how the chain of f(x, y, z) starts, for
-    every z.  Shared by the keys of one (x, y), which differ only in z."""
+def _f_start(
+    digits: tuple[int, ...], y: int
+) -> tuple[int, int, int, tuple[int, ...]] | None:
+    """(k, (-1)^y C(rank, y), rank!, (g - y for each g of x)) for f(x, y, z)
+    at every z, where the last k digits sum to y; None when no suffix sums to
+    y, as then f_base(x, y) and every term of the chain are 0.  Shared by the
+    keys of one (x, y), which differ only in z."""
+    n = len(digits)
+    k = s = 0
+    while s < y:
+        k += 1
+        s += digits[n - k]
+    if s != y:
+        return None
     x = Word(digits)
-    # at each 2 it reaches, with y' its current y, the chain divides by
-    # (1 - y')^2 = (g - y)^2: one factor comes out of f_base's denominator,
-    # the other out of this prod; a 2 with g = y ends the chain, so it is
-    # left out
-    scale = factorial(x.rank) * prod(g - y for g in g_values(x) if g != y)
-    start = f_base(x, y) * scale
-    if start.denominator != 1:
-        raise InconsistencyError(f"f_base({x}, {y}) * {x.rank}! is not an integer")
-    return scale, start.numerator
+    rank = x.rank
+    return k, (-1) ** y * comb(rank, y), factorial(rank), tuple(g - y for g in g_values(x))
 
 
 _ZERO = Fraction(0)
@@ -151,14 +156,21 @@ _ZERO = Fraction(0)
 
 @lru_cache(maxsize=1 << 15)
 def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
-    scale, start = _f_start(digits, y)
-    # from a zero start every term of the chain is zero
-    return Fraction(_chain(digits, y, z, start), scale) if start else _ZERO
+    # rank! f_base(x, y) is (-1)^y C(rank, y) prod_g (g - y) (see weight_row);
+    # each of the t 2s the chain strips divides it by one (g - y)^2
+    start = _f_start(digits, y)
+    if start is None:
+        return _ZERO
+    k, signed, scale, diffs = start
+    walked = digits[len(digits) - min(k, z):]
+    t = walked.count(2)
+    v = _walk(walked, y - sum(walked))
+    return Fraction(signed * prod(diffs[t:]) * v, scale * prod(diffs[:t]))
 
 
 def f_rec(x: Word, y: int, z: int) -> Fraction:
-    """f(x, y, z) by the defining recursion, unrolled into one iterative chain
-    (bounded memo)."""
+    """f(x, y, z) by the defining recursion, unrolled into one division-free
+    walk (bounded memo)."""
     _validate_key(x, y, z)
     return _f_rec(x.digits, y, z)
 
@@ -221,42 +233,44 @@ def weight(x: Word, y: Word, i: int) -> Fraction:
     return f_rec(x, i, common_suffix_len(x, y)) * g_product(y, i)
 
 
-def _base_row(digits: tuple[int, ...]) -> dict[int, int]:
-    """{i: rank! * f_base(x, i)} for the i where f_base(x, i) is nonzero.
-
-    f_base is a Lagrange weight on the suffix digit sums s of x (0 and rank
-    included): f_base(x, i) = 1 / prod_{s != i} (s - i) when i is one of them
-    and 0 otherwise.  Scaled by rank! this is the integer
-    (-1)^i C(rank, i) prod (m - i) over the m in 0..rank that are not suffix
-    sums.  Hot path only: :func:`f_base` keeps the partial-sum product.
-    """
-    sums = [0]
-    for d in reversed(digits):
-        sums.append(sums[-1] + d)
-    rank = sums[-1]
-    missing = set(range(rank + 1)).difference(sums)
-    return {
-        i: (-1) ** i * comb(rank, i) * prod(m - i for m in missing) for i in sums
-    }
-
-
 def weight_row(x: Word, y: Word) -> list[int]:
     """[rank(x)! * weight(x, y, i) for i in 0..rank(x)], as exact integers.
 
-    Each entry is one chain (see :func:`_chain`) started from
-    rank! * f_base(x, i) * g_product(y, i).  The chain walks the common
-    suffix, where g(y, j) = g(x, j), so each 2 it meets divides out one
-    factor g - i of the product and one of the base's denominator.
+    f_base is a Lagrange weight on the suffix digit sums of x (0 and rank
+    included), and the g values of x are exactly the m in 0..rank that are
+    not such sums.  So rank! * f_base(x, i) is (-1)^i C(rank, i) prod_g
+    (g - i) when i is a suffix sum, and 0 otherwise.  For i the sum of the
+    last k digits, the chain of f(x, i, h) strips the last w = min(k, h)
+    digits (see :func:`_walk`), dividing by (g - i)^2 at each of the t 2s
+    among them.  Those 2s lie in the common suffix, where g(y, j) = g(x, j),
+    so with c the 2s of the common suffix the entry is
+
+        (-1)^i C(rank, i) * prod_{g in gx[t:c]} (g - i)^2
+          * prod_{g in gx[c:] + gy[c:]} (g - i) * V,
+
+    and no factor is multiplied in only to be divided out.
     """
     if y.rank < x.rank:
         raise ValueError(f"weight_row requires rank({y}) >= rank({x})")
-    gs = g_values(y)
+    digits = x.digits
+    n = len(digits)
+    rank = x.rank
     h = common_suffix_len(x, y)
-    row = [0] * (x.rank + 1)
-    for i, base in _base_row(x.digits).items():
-        start = base * prod(g - i for g in gs)
-        if start:
-            row[i] = _chain(x.digits, i, h, start)
+    common = digits[n - h:]
+    c, common_sum = common.count(2), sum(common)
+    gx = g_values(x)
+    shared, rest = gx[:c], gx[c:] + g_values(y)[c:]
+    row = [0] * (rank + 1)
+    i = 0  # the sum of the last k digits
+    for k in range(n + 1):
+        if k:
+            i += digits[n - k]
+        if k <= h:  # the walk takes all k digits
+            walked = digits[n - k:]
+            v = _walk(walked, 0) * prod([g - i for g in shared[walked.count(2):]]) ** 2
+        else:  # it stops at the edge of the common suffix, past all c 2s
+            v = _walk(common, i - common_sum)
+        row[i] = (-1) ** i * comb(rank, i) * prod([g - i for g in rest]) * v
     return row
 
 

@@ -212,7 +212,7 @@ _DIGITS = "7" * 3001
         ),
         (("verify", "--max-rank", "x" * 3001), None),
         (("down", "1", "2", _DIGITS), None),
-        (("verify", "--max-S", "7" * 5000), None),
+        (("verify", "--max-S", "7" * 5000), "--max-S must be at most 5, got a 16610-bit number"),
     ],
     ids=[
         "xi-I",
@@ -229,14 +229,14 @@ _DIGITS = "7" * 3001
 def test_error_lines_are_short(capsys, argv, want):
     # each value runs to thousands of digits: a cap quotes its bit length,
     # and any other message that quotes it is clipped; argparse's errors
-    # follow their usage line
+    # follow their usage line, and verify parses its bounds past argparse
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     lines = err.splitlines()
     assert all(len(line) <= cli.ERROR_LINE_CAP for line in lines)
     if want is not None:
         assert lines == [f"yf: error: {want}"]
-    elif argv[0] == "traj":
+    elif argv[0] in ("traj", "verify"):
         [line] = lines
         assert line.startswith("yf: error: ")
         assert len(line) == cli.ERROR_LINE_CAP and line.endswith("…")
@@ -269,7 +269,7 @@ def test_huge_count_printed_in_full(capsys):
 
 
 def test_deep_f_answers_exactly(capsys):
-    # the chain is iterative: seven hundred 2s get an exact value, equal to
+    # the walk is iterative: seven hundred 2s get an exact value, equal to
     # the closed form's
     x = parse_word("2" * 700)
     code, out, err = run(capsys, "f", str(x), "700", "700")
@@ -588,17 +588,20 @@ def test_verify_trivial_rank_zero(capsys):
 
 
 def test_verify_detects_injected_fault(capsys):
-    # flipping the sign of the base values must be caught and the offending
-    # instance named
-    original = functions.f_base
+    # flipping the sign of the walk behind f_rec and the counts' weight row
+    # must be caught, the offending instance named, and the down-path sweep
+    # must catch it in the counts' own path
+    original = functions._walk
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functions, "f_base", lambda x, y: -original(x, y))
+        mp.setattr(functions, "_walk", lambda digits, a: -original(digits, a))
         functions.clear_caches()
         oracle.clear_caches()
         sections = run_verification(max_rank=3, max_s=1)
         failures = [failure for s in sections for failure in s.failures]
         assert failures
         assert any("(" in failure for failure in failures)
+        [down] = [s for s in sections if s.name == "down-paths"]
+        assert down.failures
         code, out, _ = run(capsys, "verify", "--max-rank", "3", "--max-S", "1")
         assert code == 2
         assert "FAIL" in out

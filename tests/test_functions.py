@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from hypothesis import given, strategies as st
 import pytest
 
 from yfpaths.functions import (
-    _base_row,
     f_base,
     f_explicit,
     f_explicit_terms,
@@ -168,7 +167,9 @@ def test_explicit_equals_base_at_z_zero():
 
 
 def test_explicit_matches_recursive_small_sweep():
-    for x in words_up_to_digits(6):
+    # every key up to 9 digits: each walk length, and every place a 2 can
+    # stand in it, against the closed form
+    for x in words_up_to_digits(9):
         for y in range(x.rank + 1):
             for z in range(x.digit_count + 1):
                 assert f_explicit(x, y, z) == f_rec(x, y, z), f"({x}, {y}, {z})"
@@ -222,13 +223,29 @@ def test_memo_cache_is_invisible():
     assert [f_rec(x, y, z) for x, y, z in keys] == first
 
 
-def test_base_row_is_the_partial_sum_product():
-    # the hot path's Lagrange form of rank! * f_base against f_base itself
+def _suffix_sums(x):
+    sums = [0]
+    for d in reversed(x.digits):
+        sums.append(sums[-1] + d)
+    return sums
+
+
+def test_g_values_are_the_missing_suffix_sums():
+    # the g values of x are exactly the m in 0..rank that no suffix sum hits
+    for x in words_up_to_digits(12):
+        missing = set(range(x.rank + 1)).difference(_suffix_sums(x))
+        assert g_values(x) == tuple(sorted(missing)), f"{x}"
+
+
+def test_base_is_the_lagrange_form():
+    # rank! * f_base(x, i), the start of the row and of f_rec, against the
+    # partial-sum product of f_base itself
     for x in words_up_to_digits(10):
-        row = _base_row(x.digits)
+        sums = set(_suffix_sums(x))
         scale = factorial(x.rank)
-        for y in range(x.rank + 1):
-            assert row.get(y, 0) == scale * f_base(x, y), f"({x}, {y})"
+        for i in range(x.rank + 1):
+            lagrange = (-1) ** i * comb(x.rank, i) * prod(g - i for g in g_values(x))
+            assert scale * f_base(x, i) == (lagrange if i in sums else 0), f"({x}, {i})"
 
 
 def test_weight_row_matches_explicit_small():
@@ -261,11 +278,31 @@ def test_weight_row_matches_explicit_at_scale(rx, ry):
     y = Word(_random_word(rng, ry - rx) + x.digits)
     row = weight_row(x, y)
     assert len(row) == rx + 1
-    sums = sorted(_base_row(x.digits))
+    sums = _suffix_sums(x)
     for i in rng.sample(sums, 6) + rng.sample(range(rx + 1), 4) + [0, rx]:
         expected = factorial(rx) * f_explicit(x, i, x.digit_count) * g_product(y, i)
         assert row[i] == expected, f"i={i}"
     assert any(row)
+
+
+@pytest.mark.parametrize("rx", [60, 100, 150])
+def test_weight_row_walk_stops_at_the_common_suffix(rx):
+    # y shares only part of x's suffix (h < digits(x)), so the walks of the
+    # entries whose suffix reaches past the common one stop at its edge
+    rng = random.Random(rx)
+    for _ in range(3):
+        x = Word(_random_word(rng, rx))
+        h = rng.randrange(1, x.digit_count - 1)
+        flipped = 3 - x.digits[-h - 1]
+        prefix = _random_word(rng, rx + rng.randrange(0, 80) - flipped - suffix_sum(x, h))
+        y = Word(prefix + (flipped,) + x.digits[-h:])
+        assert common_suffix_len(x, y) == h < x.digit_count
+        row = weight_row(x, y)
+        sums = _suffix_sums(x)
+        for i in rng.sample(sums, 5) + rng.sample(range(rx + 1), 3) + [sums[h], sums[h + 1], rx]:
+            expected = factorial(rx) * f_explicit(x, i, h) * g_product(y, i)
+            assert row[i] == expected, f"({x}, {y}), i={i}"
+        assert any(row)
 
 
 def test_weight_row_rank_precondition():
@@ -278,5 +315,5 @@ def test_weight_row_rank_precondition():
     [(Word((1,) * 2000), 700, 2000), (Word((2,) * 1000), 900, 900), (Word((2,) * 9), 12, 7)],
 )
 def test_deep_chain_matches_explicit(x, y, z):
-    # far deeper than any recursion limit: f_rec is one iterative chain
+    # far deeper than any recursion limit: f_rec is one iterative walk
     assert f_rec(x, y, z) == f_explicit(x, y, z) != 0
