@@ -9,7 +9,8 @@ meaningful evidence.
 A walk's cost follows the shape of its fronts, not the rank it starts from:
 1^1000 has one word per level, 2^19 about 150,000 at its widest.  So every
 walk meters its own work and raises :class:`EnumerationCapExceeded` past
-``WORK_CAP``, 1-1.5 s of walking.
+``WORK_CAP``, at most ~1 s of walking.  The fronts hold plain digit tuples,
+stepped by :func:`words.tuples_below`: a walk builds no word of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .trajectories import EnumerationCapExceeded, Trajectory
-from .words import Word, predecessors, successors
+from .words import Word, tuples_below
+
+Digits = tuple[int, ...]  # a word's digits; the walks' fronts are keyed by them
 
 # Walks kept per memo.  ``verify --max-rank 8 --max-S 3`` comes back to 659
 # descent fronts (one per word and lower rank); its trajectory and S-path
@@ -30,25 +33,18 @@ _WALKS = 1 << 10
 # per entry plus one unit per _BITS_PER_UNIT bits of its values: every step
 # adds or multiplies each value once, and the values gain bits at every
 # up-step, so one entry of 20,000 bits costs ~4 times one of a few bits.  On
-# a 2-vCPU host a unit took 0.05-0.10 us in descents and trajectory walks,
-# thin (1^n) or dense (2^k), 0.07-0.12 us in S-path walks, which step both
-# ways, and 0.12-0.13 us in height walks; with _WORD_COST at 32 dense walks
-# cost 2-5 times as much per unit as thin ones.  The cap stops ``down e 2^19
-# --verify`` after ~0.8 s, ``spaths e 1^1000 5 --verify`` after ~1.0 s and
-# ``xi 0 10000 20000 0 --verify`` after ~1.1 s, and admits every descent from
-# a word of rank 3000 or less with one word per level (``1^3000``: 4.9e6
-# units).
+# a 2-vCPU host a unit took 0.015-0.03 us in walks over words, thin (1^n) or
+# dense (2^k), but 0.06-0.08 us where they step up from words of ~1000
+# digits, which each step copies, and 0.07-0.10 us in height walks; with
+# _WORD_COST at 32 dense walks cost 2-5 times as much per unit as thin ones.
+# The cap stops ``down e 2^19 --verify`` after ~0.4 s, ``spaths e 1^1000 5
+# --verify`` after ~0.75 s and ``xi 0 10000 20000 0 --verify`` after ~1.2 s,
+# and admits every descent from a word of rank 3000 or less with one word
+# per level (``1^3000``: 4.9e6 units).
 WORK_CAP = 8_000_000
 _WORD_COST = 128
 _HEIGHT_COST = 5
 _BITS_PER_UNIT = 768
-
-
-@lru_cache(maxsize=1 << 14)
-def _neighbours(w: Word, step: int) -> tuple[Word, ...]:
-    """The successors (step 1) or predecessors (step -1) of w.  The walks
-    below meet the same few low-rank words over and over."""
-    return tuple(successors(w) if step == 1 else predecessors(w))
 
 
 def _charge(work: int, units: int) -> int:
@@ -62,16 +58,16 @@ def _charge(work: int, units: int) -> int:
     return work
 
 
-def _walk(y: Word, steps: tuple[int, ...]) -> dict[Word, int]:
-    """Propagate a word -> multiplicity table from ``y`` along ``steps``
+def _walk(y: Word, steps: tuple[int, ...]) -> dict[Digits, int]:
+    """Propagate a digits -> multiplicity table from ``y`` along ``steps``
     (each +1 or -1), charging every front before it is stepped from."""
-    front: dict[Word, int] = {y: 1}
+    front: dict[Digits, int] = {y.digits: 1}
     rank, work = y.rank, 0
     for step in steps:
         work = _charge(work, len(front) * (rank + _WORD_COST))
-        new: dict[Word, int] = {}
-        for w, c in front.items():
-            for v in _neighbours(w, step):
+        new: dict[Digits, int] = {}
+        for d, c in front.items():
+            for v in tuples_below((2,) + d if step == 1 else d):
                 new[v] = new.get(v, 0) + c
         front = new
         rank += step
@@ -79,9 +75,9 @@ def _walk(y: Word, steps: tuple[int, ...]) -> dict[Word, int]:
 
 
 @lru_cache(maxsize=_WALKS)
-def _down(y: Word, X: int) -> dict[Word, int]:
+def _down(y: Word, X: int) -> dict[Digits, int]:
     """Counts of descending paths from ``y`` to every word of rank ``X``,
-    walked down one level at a time.  The memo hands the same dict to every
+    keyed by its digits, walked down one level at a time.  The memo hands the same dict to every
     caller: read it, never change it."""
     return _walk(y, (-1,) * (y.rank - X))
 
@@ -90,14 +86,14 @@ def brute_count_down(x: Word, y: Word) -> int:
     """Descending path count by a level-by-level walk down from y."""
     if y.rank < x.rank:
         raise ValueError(f"brute_count_down needs rank({y}) >= rank({x})")
-    return _down(y, x.rank).get(x, 0)
+    return _down(y, x.rank).get(x.digits, 0)
 
 
 @lru_cache(maxsize=_WALKS)
-def trajectory_distribution(y: Word, t: Trajectory) -> dict[Word, int]:
-    """Propagate a word -> multiplicity table along ``t``; one walk yields the
-    path count to every word at the final rank.  The memo hands the same
-    dict to every caller: read it, never change it."""
+def trajectory_distribution(y: Word, t: Trajectory) -> dict[Digits, int]:
+    """Propagate a digits -> multiplicity table along ``t``; one walk yields
+    the path count to every word at the final rank, keyed by its digits.
+    The memo hands the same dict to every caller: read it, never change it."""
     if t.start != y.rank:
         raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
     return _walk(y, t.steps)
@@ -110,42 +106,43 @@ def brute_count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
             f"trajectory endpoints ({t.start}, {t.end}) do not match "
             f"ranks ({y.rank}, {x.rank})"
         )
-    return trajectory_distribution(y, t).get(x, 0)
+    return trajectory_distribution(y, t).get(x.digits, 0)
 
 
 @lru_cache(maxsize=_WALKS)
-def s_path_distribution(y: Word, X: int, S: int) -> dict[Word, int]:
+def s_path_distribution(y: Word, X: int, S: int) -> dict[Digits, int]:
     """Counts of S-up-step paths from ``y`` to every word of rank ``X``,
-    by dynamic programming over (word, up-steps used).  The memo hands the
-    same dict to every caller: read it, never change it."""
+    keyed by its digits, by dynamic programming over (digits, up-steps
+    used).  The memo hands the same dict to every caller: read it, never
+    change it."""
     if y.rank < X:
         raise ValueError(f"s_path_distribution needs rank({y}) >= {X}")
     if S < 0 or X < 0:
         raise ValueError("X and S must be nonnegative")
     length = y.rank - X + 2 * S
     top = y.rank + S  # no word of the front lies higher
-    front: dict[tuple[Word, int], int] = {(y, 0): 1}
+    front: dict[tuple[Digits, int], int] = {(y.digits, 0): 1}
     work = 0
     for _ in range(length):
         work = _charge(work, len(front) * (top + _WORD_COST))
-        new: dict[tuple[Word, int], int] = {}
-        for (w, used), c in front.items():
-            for v in _neighbours(w, -1):
+        new: dict[tuple[Digits, int], int] = {}
+        for (d, used), c in front.items():
+            for v in tuples_below(d):
                 key = (v, used)
                 new[key] = new.get(key, 0) + c
             if used < S:
-                for v in _neighbours(w, 1):
+                for v in tuples_below((2,) + d):
                     key = (v, used + 1)
                     new[key] = new.get(key, 0) + c
         front = new
-    return {w: c for (w, used), c in front.items() if used == S}
+    return {d: c for (d, used), c in front.items() if used == S}
 
 
 def brute_count_s(x: Word, y: Word, S: int) -> int:
     """S-path count by the dynamic program."""
     if y.rank < x.rank:
         raise ValueError(f"brute_count_s needs rank({y}) >= rank({x})")
-    return s_path_distribution(y, x.rank, S).get(x, 0)
+    return s_path_distribution(y, x.rank, S).get(x.digits, 0)
 
 
 def brute_xi(X: int, Y: int, S: int, i: int = 0) -> int:
@@ -180,5 +177,5 @@ def brute_xi(X: int, Y: int, S: int, i: int = 0) -> int:
 
 
 def clear_caches() -> None:
-    for memo in (_neighbours, _down, trajectory_distribution, s_path_distribution):
+    for memo in (_down, trajectory_distribution, s_path_distribution):
         memo.cache_clear()

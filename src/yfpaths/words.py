@@ -4,8 +4,9 @@ A word is graded by its digit sum (its *rank*); the empty word has rank 0.
 Rank-n words are in bijection with compositions of n into parts 1 and 2, so
 level n contains F_{n+1} words (Fibonacci numbers with F_0 = 0, F_1 = 1).
 
-The covering structure is encoded by :func:`predecessors` (neighbours one
-rank down) and :func:`successors` (one rank up).  Suffix-oriented helpers
+The covering structure is encoded by :func:`tuples_below`, on plain digit
+tuples, which :func:`predecessors` (neighbours one rank down) and
+:func:`successors` (one rank up) wrap.  Suffix-oriented helpers
 (:func:`common_suffix_len`, :func:`suffix_sum`, :func:`start1`,
 :func:`start2`) support the exact counting formulas built on top.
 """
@@ -41,16 +42,6 @@ class Word:
     def twos(self) -> int:
         return self.digits.count(2)
 
-    @property
-    def leading_twos(self) -> int:
-        """Number of 2s strictly before the first 1 (all 2s if no 1 occurs)."""
-        n = 0
-        for d in self.digits:
-            if d == 1:
-                break
-            n += 1
-        return n
-
     def __str__(self) -> str:
         return "".join(map(str, self.digits)) if self.digits else EMPTY_WORD_TEXTS[0]
 
@@ -72,25 +63,29 @@ def parse_word(text: str) -> Word:
     return Word(tuple(int(ch) for ch in text))
 
 
-def predecessors(w: Word) -> list[Word]:
-    """Neighbours one rank down, ordered.
+def tuples_below(digits: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The digit tuples one rank below ``digits``, ordered.
 
-    For k = 1..leading_twos(w) the k-th 2 is replaced by a 1; finally, if the
-    word contains a 1 at all, the first 1 is deleted.  The empty word has no
-    predecessors.
+    Each of the 2s before the first 1 in turn becomes a 1; finally, if a 1
+    occurs at all, the first 1 is deleted.  The tuples one rank above
+    ``digits`` are those below ``(2,) + digits``.  Nothing is checked: valid
+    digits step to valid digits, so the oracle's walks build no words.
     """
-    digits = w.digits
-    out = [Word(digits[:k] + (1,) + digits[k + 1:]) for k in range(w.leading_twos)]
-    if 1 in digits:
-        i = digits.index(1)
-        out.append(Word(digits[:i] + digits[i + 1:]))
+    first = digits.index(1) if 1 in digits else len(digits)
+    out = [digits[:k] + (1,) + digits[k + 1:] for k in range(first)]
+    if first < len(digits):
+        out.append(digits[:first] + digits[first + 1:])
     return out
+
+
+def predecessors(w: Word) -> list[Word]:
+    """Neighbours one rank down, ordered; the empty word has none."""
+    return [Word(t) for t in tuples_below(w.digits)]
 
 
 def successors(w: Word) -> list[Word]:
     """Neighbours one rank up, ordered; always one more of them than predecessors."""
-    # Prepending a 2 turns the up-neighbourhood into a down-neighbourhood.
-    return predecessors(Word((2,) + w.digits))
+    return [Word(t) for t in tuples_below((2,) + w.digits)]
 
 
 def common_suffix_len(x: Word, y: Word) -> int:

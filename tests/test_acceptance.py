@@ -142,7 +142,7 @@ def test_criterion_05_trajectory_paths_vs_oracle():
                         for t in enumerate_trajectories(rx, ry, S):
                             dist = trajectory_distribution(y, t)
                             for x in level(rx):
-                                assert count_trajectory(x, y, t) == dist.get(x, 0), (
+                                assert count_trajectory(x, y, t) == dist.get(x.digits, 0), (
                                     f"({x}, {y}, {t})"
                                 )
                                 tally["checks"] += 1
@@ -190,7 +190,7 @@ def test_criterion_07_s_paths_vs_oracle():
                     for S in range(4):
                         dist = s_path_distribution(y, rx, S)
                         for x in level(rx):
-                            assert count_s_paths(x, y, S) == dist.get(x, 0), (x, y, S)
+                            assert count_s_paths(x, y, S) == dist.get(x.digits, 0), (x, y, S)
                             tally["checks"] += 1
         for n in range(7):
             for x in level(n):

@@ -208,11 +208,11 @@ _DIGITS = "7" * 3001
         (("traj", "e", "1", _DIGITS), None),
         (
             ("spaths", "e", "1", "7" * 131_000),
-            "S must be at most 20000, got a 435173-bit number",
+            "S must be at most 20000, got a 131000-digit number",
         ),
         (("verify", "--max-rank", "x" * 3001), None),
         (("down", "1", "2", _DIGITS), None),
-        (("verify", "--max-S", "7" * 5000), "--max-S must be at most 5, got a 16610-bit number"),
+        (("verify", "--max-S", "7" * 5000), "--max-S must be at most 5, got a 5000-digit number"),
     ],
     ids=[
         "xi-I",
@@ -228,7 +228,8 @@ _DIGITS = "7" * 3001
 )
 def test_error_lines_are_short(capsys, argv, want):
     # each value runs to thousands of digits: a cap quotes its bit length,
-    # and any other message that quotes it is clipped; argparse's errors
+    # or past 4,300 digits its digit count, and any other message that
+    # quotes it is clipped; argparse's errors
     # follow their usage line, and verify parses its bounds past argparse
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -245,6 +246,16 @@ def test_error_lines_are_short(capsys, argv, want):
         assert usage.startswith("usage: yf")
         assert line.startswith(("yf: error: ", "yf verify: error: "))
         assert len(line) == cli.ERROR_LINE_CAP and line.endswith("…")
+
+
+def test_int_arg_counts_digits_past_the_parse_limit(capsys):
+    # a number of more than 4,300 digits meets its cap unparsed; leading
+    # zeros do not count, and a shorter number is quoted by its bits
+    with pytest.raises(ValueError, match="^S must be at most 5, got a 4301-digit number$"):
+        cli._int_arg("9" * 4301, "S", 5)
+    assert run(capsys, "level", "0" * 5000 + "3") == (0, "111\n12\n21\n", "")
+    with pytest.raises(ValueError, match="^S must be at most 5, got a 14285-bit number$"):
+        cli._int_arg("9" * 4300, "S", 5)
 
 
 def _parse_int_in_chunks(text):

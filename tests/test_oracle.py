@@ -15,7 +15,7 @@ from yfpaths.trajectories import (
     Trajectory,
     enumerate_trajectories,
 )
-from yfpaths.words import EPSILON, level, parse_word
+from yfpaths.words import EPSILON, Word, level, parse_word
 
 
 def w(text):
@@ -78,6 +78,25 @@ def test_work_bound_charges_each_front(small_work_cap):
         brute_count_down(EPSILON, w("11"))
     small_work_cap(work)
     assert brute_count_down(EPSILON, w("11")) == 1
+
+
+def test_walks_build_no_words(monkeypatch):
+    # the fronts hold digit tuples: the only words are the arguments
+    x, y = w("21"), w("22121")
+    t = Trajectory((8, 7, 6, 7, 6, 5, 4, 3))
+    oracle.clear_caches()
+    built = []
+    validate = Word.__post_init__
+
+    def counted(word):
+        built.append(word.digits)
+        validate(word)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    assert brute_count_down(x, y) > 0
+    assert brute_count_trajectory(x, y, t) > 0
+    assert brute_count_s(x, y, 2) > 0
+    assert built == []
 
 
 def test_height_walk_charges_entries_and_bits(small_work_cap):

@@ -4,7 +4,10 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import yfpaths
+from yfpaths.cli import run_verification
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,6 +77,18 @@ def test_every_memo_is_bounded():
                 memos.append(f"{info.name}.{name}")
                 assert value.cache_info().maxsize is not None, memos[-1]
     assert "oracle._down" in memos
+
+
+@pytest.mark.parametrize("name", ["functions", "oracle"])
+def test_clear_caches_empties_every_memo(name):
+    # a memo left out of clear_caches would keep its entries
+    module = importlib.import_module(f"yfpaths.{name}")
+    memos = {key: value for key, value in vars(module).items() if hasattr(value, "cache_info")}
+    run_verification(3, 1)
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    module.clear_caches()
+    sizes = {key: memo.cache_info().currsize for key, memo in memos.items()}
+    assert sizes == dict.fromkeys(memos, 0)
 
 
 # Definitions in src/ that nothing in src/ calls, each with its caller.

@@ -13,6 +13,7 @@ from yfpaths.words import (
     start2,
     successors,
     suffix_sum,
+    tuples_below,
 )
 
 words = st.builds(Word, st.lists(st.sampled_from([1, 2]), max_size=8).map(tuple))
@@ -55,7 +56,10 @@ def test_rank():
 
 
 def word_stats(x):
-    return x.digit_count, x.twos, x.leading_twos
+    # digit count, 2s, and the 2s before the first 1: the predecessors that
+    # turn one of those 2s into a 1 keep the digit count
+    same_length = sum(p.digit_count == x.digit_count for p in predecessors(x))
+    return x.digit_count, x.twos, same_length
 
 
 def test_stats():
@@ -81,6 +85,24 @@ def test_successors_are_predecessors_of_two_prefixed():
     for n in range(7):
         for y in level(n):
             assert successors(y) == predecessors(concat(w("2"), y))
+
+
+def covered(digits):
+    # the graph's recursive definition: 1v covers v alone, and 2v covers 1v
+    # and 2u for each u that v covers
+    if not digits:
+        return []
+    if digits[0] == 1:
+        return [digits[1:]]
+    return [(1,) + digits[1:]] + [(2,) + u for u in covered(digits[1:])]
+
+
+def test_tuples_below_are_the_word_neighbours():
+    for n in range(13):
+        for word in level(n):
+            down, up = word.digits, (2,) + word.digits
+            assert tuples_below(down) == covered(down) == [p.digits for p in predecessors(word)]
+            assert tuples_below(up) == covered(up) == [s.digits for s in successors(word)]
 
 
 def test_one_differential_degrees():
