@@ -3,7 +3,7 @@
 Grammar::
 
     yf down X Y [--verify] [--json]            (rank X <= 1000, rank Y <= 3000)
-    yf traj X Y DELTA [--verify] [--json]      (the same, and <= 1000 up-steps)
+    yf traj X Y DELTA [--verify] [--json]      (the same, <= 1000 up-steps, values <= 4000)
     yf spaths X Y S [--verify] [--json]        (rank X <= 100, rank Y <= 3000, S <= 20000)
     yf f X Y Z [--verify] [--json]             (rank X <= 10000, 1000 with --verify; Y, Z <= 10000)
     yf xi X Y S I [--verify] [--json]          (I <= X <= Y <= 10000, S <= 20000)
@@ -47,7 +47,7 @@ from math import comb
 
 from . import counts, invariants, oracle
 from .functions import InconsistencyError, f_explicit, f_rec
-from .trajectories import EnumerationCapExceeded, enumerate_trajectories, parse_trajectory
+from .trajectories import EnumerationCapExceeded, Trajectory, enumerate_trajectories
 from .words import EPSILON, Word, level, parse_word, predecessors, successors
 
 EXIT_OK = 0
@@ -260,7 +260,7 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # ``spaths`` is rank(x) + 1 such sums, each finished by one divide of a
 # (2S - 1)!!-sized number: rank(x) 100 at S = 20000 takes ~0.4 s at rank(y)
 # 150 and ~0.5 s at rank(y) 3000.  ``f`` walks the digits of x: ``f_rec``
-# takes up to ~0.1 s at rank(x) 10000 and ~0.45 s at 20000; the closed form
+# takes up to ~0.11 s at rank(x) 10000 and ~0.4 s at 20000; the closed form
 # under ``--verify`` ~0.4 s at 1000 and ~2.4 s at 2000.  The oracle bounds its own
 # work (``oracle.WORK_CAP``), so ``--verify`` adds a cap only to ``f``.
 # Each ``verify`` rank costs up to ~2.2 times the one below, and each S past 3
@@ -302,7 +302,10 @@ def _down(a) -> tuple[object, Thunk]:
 
 def _traj(a) -> tuple[object, Thunk]:
     x, y = _words(a, RANK_CAP)
-    t = parse_trajectory(a.delta)
+    # a trajectory that can be answered starts at rank(y) and climbs at most
+    # its up-steps higher
+    cap = RANK_Y_CAP + UP_STEP_CAP
+    t = Trajectory(tuple(_int_arg(v, "trajectory value", cap) for v in a.delta.split(",")))
     _at_most("up-steps", t.up_count, UP_STEP_CAP)
     return counts.count_trajectory(x, y, t), lambda: oracle.brute_count_trajectory(x, y, t)
 

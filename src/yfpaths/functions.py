@@ -19,15 +19,17 @@ values of x are the m in 0..rank(x) that no suffix digit sum of x hits, so
 rank(x)! * f_base(x, i) is (-1)^i C(rank, i) prod_g (g - i) at a suffix sum
 i and 0 elsewhere.  The recursion from there strips digits of x's suffix and
 divides by (g - i)^2 at each 2; one backward walk over those digits
-(``_walk``) sums it times the factors it would divide by, so neither
-evaluator divides until ``f_rec`` builds its ``Fraction``, and the row
-multiplies in only the factors that remain.
+(``_walk``) sums it times the factors it would divide by.  Both evaluators
+take that start and walk from one helper (``_lagrange_walk``), so neither
+divides until ``f_rec`` builds its ``Fraction`` (memoized, the one memo
+here), and the row multiplies in only the factors that remain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
 
 from .words import Word, common_suffix_len, start1, start2, suffix_sum
@@ -43,16 +45,19 @@ def g_values(x: Word) -> tuple[int, ...]:
     Writing x as 1-runs separated by 2s, g(x, j) adds the lengths of the
     j rightmost 1-runs to 2j - 1.  The values are strictly increasing.
     """
-    vals = []
-    ones = 0
-    twos = 0
-    for d in reversed(x.digits):
-        if d == 1:
-            ones += 1
-        else:
-            twos += 1
-            vals.append(ones + 2 * twos - 1)
-    return tuple(vals)
+    return tuple(_g_less(x.digits, 0))
+
+
+def _g_less(digits: tuple[int, ...], y: int) -> list[int]:
+    """[g - y for each g value of the word with these digits], in order: g
+    is the digit sum of the suffix that ends with its 2, less one."""
+    out = []
+    s = -1 - y
+    for d in reversed(digits):
+        s += d
+        if d == 2:
+            out.append(s)
+    return out
 
 
 def g_product(y: Word, i: int) -> int:
@@ -131,24 +136,16 @@ def _walk(digits: tuple[int, ...], a: int) -> int:
     return v
 
 
-@lru_cache(maxsize=1 << 12)
-def _f_start(
-    digits: tuple[int, ...], y: int
-) -> tuple[int, int, int, tuple[int, ...]] | None:
-    """(k, (-1)^y C(rank, y), rank!, (g - y for each g of x)) for f(x, y, z)
-    at every z, where the last k digits sum to y; None when no suffix sums to
-    y, as then f_base(x, y) and every term of the chain are 0.  Shared by the
-    keys of one (x, y), which differ only in z."""
+def _lagrange_walk(digits: tuple[int, ...], rank: int, i: int, k: int, w: int) -> tuple[int, int]:
+    """((-1)^i C(rank, i) V, t), where i is the sum of the last k digits and
+    the chain strips at most w of them: V walks the last min(k, w) digits
+    (see :func:`_walk`) and t counts the 2s among them."""
     n = len(digits)
-    k = s = 0
-    while s < y:
-        k += 1
-        s += digits[n - k]
-    if s != y:
-        return None
-    x = Word(digits)
-    rank = x.rank
-    return k, (-1) ** y * comb(rank, y), factorial(rank), tuple(g - y for g in g_values(x))
+    start = n - min(k, w)
+    walked = digits[start:]
+    # the walk starts from i less the walked digits: the digits it leaves
+    v = _walk(walked, sum(digits[n - k:start]))
+    return (-1) ** i * comb(rank, i) * v, walked.count(2)
 
 
 _ZERO = Fraction(0)
@@ -156,16 +153,20 @@ _ZERO = Fraction(0)
 
 @lru_cache(maxsize=1 << 15)
 def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
-    # rank! f_base(x, y) is (-1)^y C(rank, y) prod_g (g - y) (see weight_row);
-    # each of the t 2s the chain strips divides it by one (g - y)^2
-    start = _f_start(digits, y)
-    if start is None:
+    # rank! f_base(x, y) is (-1)^y C(rank, y) prod_g (g - y) (see weight_row),
+    # and it and every term of the chain are 0 when no suffix sums to y; each
+    # of the t 2s the chain strips divides it by one (g - y)^2
+    n = len(digits)
+    k = s = 0  # the last k digits sum to s
+    while s < y:
+        k += 1
+        s += digits[n - k]
+    if s != y:
         return _ZERO
-    k, signed, scale, diffs = start
-    walked = digits[len(digits) - min(k, z):]
-    t = walked.count(2)
-    v = _walk(walked, y - sum(walked))
-    return Fraction(signed * prod(diffs[t:]) * v, scale * prod(diffs[:t]))
+    rank = sum(digits)
+    lead, t = _lagrange_walk(digits, rank, y, k, z)
+    diffs = _g_less(digits, y)
+    return Fraction(lead * prod(diffs[t:]), factorial(rank) * prod(diffs[:t]))
 
 
 def f_rec(x: Word, y: int, z: int) -> Fraction:
@@ -248,33 +249,24 @@ def weight_row(x: Word, y: Word) -> list[int]:
         (-1)^i C(rank, i) * prod_{g in gx[t:c]} (g - i)^2
           * prod_{g in gx[c:] + gy[c:]} (g - i) * V,
 
-    and no factor is multiplied in only to be divided out.
+    where t = c once k passes h, and no factor is multiplied in only to be
+    divided out.
     """
     if y.rank < x.rank:
         raise ValueError(f"weight_row requires rank({y}) >= rank({x})")
     digits = x.digits
-    n = len(digits)
     rank = x.rank
     h = common_suffix_len(x, y)
-    common = digits[n - h:]
-    c, common_sum = common.count(2), sum(common)
+    c = digits[len(digits) - h:].count(2)
     gx = g_values(x)
     shared, rest = gx[:c], gx[c:] + g_values(y)[c:]
     row = [0] * (rank + 1)
-    i = 0  # the sum of the last k digits
-    for k in range(n + 1):
-        if k:
-            i += digits[n - k]
-        if k <= h:  # the walk takes all k digits
-            walked = digits[n - k:]
-            v = _walk(walked, 0) * prod([g - i for g in shared[walked.count(2):]]) ** 2
-        else:  # it stops at the edge of the common suffix, past all c 2s
-            v = _walk(common, i - common_sum)
-        row[i] = (-1) ** i * comb(rank, i) * prod([g - i for g in rest]) * v
+    for k, i in enumerate(accumulate(reversed(digits), initial=0)):
+        lead, t = _lagrange_walk(digits, rank, i, k, h)
+        row[i] = lead * prod([g - i for g in shared[t:]]) ** 2 * prod([g - i for g in rest])
     return row
 
 
 def clear_caches() -> None:
-    """Drop memoized f values (results are unaffected, only timings)."""
+    """Drop the memo of f values (results are unaffected, only timings)."""
     _f_rec.cache_clear()
-    _f_start.cache_clear()

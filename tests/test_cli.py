@@ -205,10 +205,17 @@ _DIGITS = "7" * 3001
         (("xi", _DIGITS, "1", "1", "0"), "X must be at most 10000, got a 9969-bit number"),
         (("f", "1", _DIGITS, "0"), "Y must be at most 10000, got a 9969-bit number"),
         (("spaths", "e", "1", _DIGITS), "S must be at most 20000, got a 9969-bit number"),
-        (("traj", "e", "1", _DIGITS), None),
+        (
+            ("traj", "e", "1", _DIGITS),
+            "trajectory value must be at most 4000, got a 9969-bit number",
+        ),
         (
             ("spaths", "e", "1", "7" * 131_000),
             "S must be at most 20000, got a 131000-digit number",
+        ),
+        (
+            ("traj", "e", "1", "1,0," + "7" * 131_000),
+            "trajectory value must be at most 4000, got a 131000-digit number",
         ),
         (("verify", "--max-rank", "x" * 3001), None),
         (("down", "1", "2", _DIGITS), None),
@@ -221,6 +228,7 @@ _DIGITS = "7" * 3001
         "spaths-S",
         "traj",
         "spaths-S-131000",
+        "traj-131000",
         "verify-max-rank-text",
         "unrecognized-argument",
         "verify-max-S-5000",
@@ -237,7 +245,7 @@ def test_error_lines_are_short(capsys, argv, want):
     assert all(len(line) <= cli.ERROR_LINE_CAP for line in lines)
     if want is not None:
         assert lines == [f"yf: error: {want}"]
-    elif argv[0] in ("traj", "verify"):
+    elif argv[0] == "verify":
         [line] = lines
         assert line.startswith("yf: error: ")
         assert len(line) == cli.ERROR_LINE_CAP and line.endswith("…")

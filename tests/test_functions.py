@@ -310,10 +310,20 @@ def test_weight_row_rank_precondition():
         weight_row(w("22"), w("1"))
 
 
+_RANK_300 = Word(_random_word(random.Random(300), 300))
+
+
 @pytest.mark.parametrize(
     "x, y, z",
-    [(Word((1,) * 2000), 700, 2000), (Word((2,) * 1000), 900, 900), (Word((2,) * 9), 12, 7)],
+    [
+        (Word((1,) * 2000), 700, 2000),
+        (Word((2,) * 1000), 900, 900),
+        (Word((2,) * 9), 12, 7),
+        (Word((2,) * 1000), 900, 300),
+        (_RANK_300, suffix_sum(_RANK_300, 120), 70),
+    ],
 )
 def test_deep_chain_matches_explicit(x, y, z):
-    # far deeper than any recursion limit: f_rec is one iterative walk
+    # far deeper than any recursion limit: f_rec is one iterative walk; in
+    # the last two cases the walk stops at z, short of the k digits that sum to y
     assert f_rec(x, y, z) == f_explicit(x, y, z) != 0
