@@ -3,7 +3,7 @@
 Grammar::
 
     yf down X Y [--verify] [--json]            (rank X <= 1000, rank Y <= 3000)
-    yf traj X Y DELTA [--verify] [--json]      (the same, <= 1000 up-steps, values <= 4000)
+    yf traj X Y DELTA [--verify] [--json]      (the same; <= 5000 steps, 1000 up, values <= 4000)
     yf spaths X Y S [--verify] [--json]        (rank X <= 100, rank Y <= 3000, S <= 20000)
     yf f X Y Z [--verify] [--json]             (rank X <= 10000, 1000 with --verify; Y, Z <= 10000)
     yf xi X Y S I [--verify] [--json]          (I <= X <= Y <= 10000, S <= 20000)
@@ -271,6 +271,7 @@ S_CAP = 20_000
 RANK_CAP = 1000
 RANK_Y_CAP = 3000
 UP_STEP_CAP = 1000
+STEP_CAP = RANK_Y_CAP + 2 * UP_STEP_CAP  # descend from rank(y), and down again after each up-step
 SPATHS_RANK_CAP = 100
 F_RANK_CAP = 10_000
 F_VERIFY_RANK_CAP = 1000
@@ -302,6 +303,7 @@ def _down(a) -> tuple[object, Thunk]:
 
 def _traj(a) -> tuple[object, Thunk]:
     x, y = _words(a, RANK_CAP)
+    _at_most("trajectory steps", a.delta.count(","), STEP_CAP)
     # a trajectory that can be answered starts at rank(y) and climbs at most
     # its up-steps higher
     cap = RANK_Y_CAP + UP_STEP_CAP
@@ -366,7 +368,9 @@ _ORACLE = "cross-check against the brute-force oracle, which fails past its work
 _X = ("x", f"lower word, of rank at most {RANK_CAP}")
 _Y = ("y", f"upper word, of rank at most {RANK_Y_CAP}")
 _S = ("s", f"number of up-steps (at most {S_CAP})")
-_DELTA = ("delta", f"trajectory, e.g. 3,2,1,2, with at most {UP_STEP_CAP} up-steps")
+_DELTA = (
+    "delta", f"trajectory, e.g. 3,2,1,2, of at most {STEP_CAP} steps and {UP_STEP_CAP} up-steps"
+)
 _SPATHS_X = ("x", f"lower word, of rank at most {SPATHS_RANK_CAP}")
 _XI_Y = ("y", f"upper endpoint (at most {XI_Y_CAP})")
 

@@ -6,11 +6,14 @@ module deliberately imports only the word model and the trajectory model --
 never the formula machinery -- so that agreement between the two is
 meaningful evidence.
 
-A walk's cost follows the shape of its fronts, not the rank it starts from:
-1^1000 has one word per level, 2^19 about 150,000 at its widest.  So every
-walk meters its own work and raises :class:`EnumerationCapExceeded` past
-``WORK_CAP``, at most ~1 s of walking.  The fronts hold plain digit tuples,
-stepped by :func:`words.tuples_below`: a walk builds no word of its own.
+Descents, trajectories and S-paths are one layered walk (:func:`_walk`): it
+keeps one front per number of up-steps taken, so the words of a front share
+one rank.  A walk's cost follows the shape of its fronts, not the rank it
+starts from: 1^1000 has one word per level, 2^19 about 150,000 at its
+widest.  So every walk meters its own work, each front at its own rank, and
+raises :class:`EnumerationCapExceeded` past ``WORK_CAP``, at most ~1.3 s of
+walking.  The fronts hold plain digit tuples, stepped by
+:func:`words.tuples_below`: a walk builds no word of its own.
 """
 
 from __future__ import annotations
@@ -28,23 +31,27 @@ Digits = tuple[int, ...]  # a word's digits; the walks' fronts are keyed by them
 _WALKS = 1 << 10
 
 # Work one walk may do.  A walk over words charges each front the number of
-# words in it times their rank, which bounds their digit count, plus
-# _WORD_COST.  The height walk of ``brute_xi`` charges each front _HEIGHT_COST
-# per entry plus one unit per _BITS_PER_UNIT bits of its values: every step
-# adds or multiplies each value once, and the values gain bits at every
-# up-step, so one entry of 20,000 bits costs ~4 times one of a few bits.  On
-# a 2-vCPU host a unit took 0.015-0.03 us in walks over words, thin (1^n) or
-# dense (2^k), but 0.06-0.08 us where they step up from words of ~1000
-# digits, which each step copies, and 0.07-0.10 us in height walks; with
-# _WORD_COST at 32 dense walks cost 2-5 times as much per unit as thin ones.
-# The cap stops ``down e 2^19 --verify`` after ~0.4 s, ``spaths e 1^1000 5
-# --verify`` after ~0.75 s and ``xi 0 10000 20000 0 --verify`` after ~1.2 s,
-# and admits every descent from a word of rank 3000 or less with one word
-# per level (``1^3000``: 4.9e6 units).
+# words in it times their rank plus _WORD_COST: the words of a front share one
+# rank, which bounds their digit count.  The height walk of ``brute_xi``
+# charges each front _HEIGHT_COST per entry plus one unit per _BITS_PER_UNIT
+# bits of its values: every step adds or multiplies each value once, and the
+# values gain bits at every up-step, so one entry of 20,000 bits costs ~4
+# times one of a few bits.  On a 2-vCPU host a unit took 0.015-0.03 us in
+# walks over words, thin (1^n) or dense (2^k), but 0.06-0.08 us where they
+# step up from words of ~1000 digits, which each step copies, and 0.07-0.10 us
+# in height walks; with _WORD_COST at 32 dense walks cost 2-5 times as much
+# per unit as thin ones.  The cap stops ``down e 2^19 --verify`` after ~0.4 s,
+# ``spaths e 1 20000 --verify`` after ~0.45 s, ``spaths e 1^1000 5 --verify``
+# after 0.6-0.75 s (at a 17 MB peak) and ``xi 0 10000 20000 0 --verify`` after
+# ~1.3 s, and admits every descent, or S-path walk with S = 0, from a word of
+# rank 3000 or less with one word per level (``1^3000``: 4.9e6 units).
 WORK_CAP = 8_000_000
 _WORD_COST = 128
 _HEIGHT_COST = 5
 _BITS_PER_UNIT = 768
+
+# The up-steps (0 or 1) a walk's step of +1, -1 or 0 (either way) may take.
+_MOVES = {1: (1,), -1: (0,), 0: (0, 1)}
 
 
 def _charge(work: int, units: int) -> int:
@@ -58,28 +65,37 @@ def _charge(work: int, units: int) -> int:
     return work
 
 
-def _walk(y: Word, steps: tuple[int, ...]) -> dict[Digits, int]:
-    """Propagate a digits -> multiplicity table from ``y`` along ``steps``
-    (each +1 or -1), charging every front before it is stepped from."""
-    front: dict[Digits, int] = {y.digits: 1}
-    rank, work = y.rank, 0
+def _walk(y: Word, steps: tuple[int, ...], S: int) -> dict[Digits, int]:
+    """Propagate digits -> multiplicity fronts from ``y`` along ``steps``,
+    each +1, -1 or 0 for either way, and return the front of the paths that
+    took ``S`` up-steps.  Front u holds the words reached by u up-steps, all
+    of rank y.rank - j + 2u after j steps.  Each front is charged before it
+    is stepped from; one whose S - u up-steps to come no longer fit in the
+    steps left is dropped."""
+    fronts = {0: {y.digits: 1}}
+    rank, work, low = y.rank, 0, S - len(steps)  # rank: that of front 0
     for step in steps:
-        work = _charge(work, len(front) * (rank + _WORD_COST))
-        new: dict[Digits, int] = {}
-        for d, c in front.items():
-            for v in tuples_below((2,) + d if step == 1 else d):
-                new[v] = new.get(v, 0) + c
-        front = new
-        rank += step
-    return front
+        low += 1  # fewest up-steps a front may have taken after this step
+        new: dict[int, dict[Digits, int]] = {}
+        for u, front in fronts.items():
+            work = _charge(work, len(front) * (rank + 2 * u + _WORD_COST))
+            for up in _MOVES[step]:
+                if low <= u + up <= S:
+                    into = new.setdefault(u + up, {})
+                    for d, c in front.items():
+                        for v in tuples_below((2,) + d if up else d):
+                            into[v] = into.get(v, 0) + c
+        fronts = new
+        rank -= 1
+    return fronts.get(S, {})
 
 
 @lru_cache(maxsize=_WALKS)
 def _down(y: Word, X: int) -> dict[Digits, int]:
     """Counts of descending paths from ``y`` to every word of rank ``X``,
-    keyed by its digits, walked down one level at a time.  The memo hands the same dict to every
-    caller: read it, never change it."""
-    return _walk(y, (-1,) * (y.rank - X))
+    keyed by its digits.  The memo hands the same dict to every caller:
+    read it, never change it."""
+    return _walk(y, (-1,) * (y.rank - X), 0)
 
 
 def brute_count_down(x: Word, y: Word) -> int:
@@ -91,12 +107,12 @@ def brute_count_down(x: Word, y: Word) -> int:
 
 @lru_cache(maxsize=_WALKS)
 def trajectory_distribution(y: Word, t: Trajectory) -> dict[Digits, int]:
-    """Propagate a digits -> multiplicity table along ``t``; one walk yields
-    the path count to every word at the final rank, keyed by its digits.
-    The memo hands the same dict to every caller: read it, never change it."""
+    """Path counts along ``t`` from ``y`` to every word at its final rank,
+    keyed by its digits.  The memo hands the same dict to every caller:
+    read it, never change it."""
     if t.start != y.rank:
         raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
-    return _walk(y, t.steps)
+    return _walk(y, t.steps, t.up_count)
 
 
 def brute_count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
@@ -112,30 +128,13 @@ def brute_count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
 @lru_cache(maxsize=_WALKS)
 def s_path_distribution(y: Word, X: int, S: int) -> dict[Digits, int]:
     """Counts of S-up-step paths from ``y`` to every word of rank ``X``,
-    keyed by its digits, by dynamic programming over (digits, up-steps
-    used).  The memo hands the same dict to every caller: read it, never
-    change it."""
+    keyed by its digits: every step may go either way.  The memo hands the
+    same dict to every caller: read it, never change it."""
     if y.rank < X:
         raise ValueError(f"s_path_distribution needs rank({y}) >= {X}")
     if S < 0 or X < 0:
         raise ValueError("X and S must be nonnegative")
-    length = y.rank - X + 2 * S
-    top = y.rank + S  # no word of the front lies higher
-    front: dict[tuple[Digits, int], int] = {(y.digits, 0): 1}
-    work = 0
-    for _ in range(length):
-        work = _charge(work, len(front) * (top + _WORD_COST))
-        new: dict[tuple[Digits, int], int] = {}
-        for (d, used), c in front.items():
-            for v in tuples_below(d):
-                key = (v, used)
-                new[key] = new.get(key, 0) + c
-            if used < S:
-                for v in tuples_below((2,) + d):
-                    key = (v, used + 1)
-                    new[key] = new.get(key, 0) + c
-        front = new
-    return {d: c for (d, used), c in front.items() if used == S}
+    return _walk(y, (0,) * (y.rank - X + 2 * S), S)
 
 
 def brute_count_s(x: Word, y: Word, S: int) -> int:

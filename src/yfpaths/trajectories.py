@@ -11,6 +11,7 @@ sweeps and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 ENUMERATION_CAP = 10_000_000  # most walks one enumeration may return
 
@@ -52,11 +53,12 @@ class Trajectory:
 
     @property
     def steps(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.values, self.values[1:]))
+        return tuple(map(sub, self.values[1:], self.values))
 
     @property
     def up_count(self) -> int:
-        return self.steps.count(1)
+        # up-steps minus down-steps is end - start, their sum the length
+        return (self.length + self.end - self.start) // 2
 
     @property
     def up_positions(self) -> tuple[int, ...]:

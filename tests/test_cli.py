@@ -163,6 +163,14 @@ def test_dot_edges_match_successor_lists():
     assert edges == expected
 
 
+def test_traj_counts_steps_before_parsing(capsys):
+    # 100,000 steps meet the step cap before any value is parsed, so the
+    # trailing value that is no integer is never read
+    code, out, err = run(capsys, "traj", "1", "1", ",".join(["1", "0"] * 50_000) + ",x")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"yf: error: trajectory steps must be at most {cli.STEP_CAP}, got 100000"]
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "down", "120", "22")[0] == 1
     assert run(capsys, "down", "22", "e")[0] == 1
@@ -429,6 +437,14 @@ def _down_to(n):
     return ",".join(map(str, range(n, -1, -1)))
 
 
+def _steps(n):
+    # n steps from rank(y) = RANK_Y_CAP: down to 0, then up and down again;
+    # at STEP_CAP, RANK_Y_CAP steps down and UP_STEP_CAP up-steps
+    rest = n - cli.RANK_Y_CAP
+    values = [*range(cli.RANK_Y_CAP, 0, -1), *[0, 1] * (rest // 2), 0, *[1] * (rest % 2)]
+    return ",".join(map(str, values))
+
+
 def _no_suffix_sum_one(n):
     # rank n, and no suffix has digit sum 1, so f(x, 1, 0) = 0
     return "1" * (n - 2) + "2"
@@ -459,6 +475,13 @@ def _no_suffix_sum_one(n):
             lambda n: ("e", "e", _up_steps(n)),
             "up-steps",
             cli.UP_STEP_CAP,
+        ),
+        (
+            "traj",
+            "count_trajectory",
+            lambda n: ("e", "1" * cli.RANK_Y_CAP, _steps(n)),
+            "trajectory steps",
+            cli.STEP_CAP,
         ),
         (
             "spaths",
@@ -493,8 +516,11 @@ def test_query_size_caps(capsys, monkeypatch, command, name, args, what, cap):
 
     # the counts are called through the module, f_rec by its name in cli
     monkeypatch.setattr(cli if command == "f" else cli.counts, name, fake_count)
-    # past the cap: one error line, and nothing is counted
-    for n in (cap + 1, 10 * cap):
+    # past the cap: one error line, and nothing is counted; 10 * UP_STEP_CAP
+    # up-steps would take more than STEP_CAP steps, so the far case of the
+    # up-step cap is the most up-steps that STEP_CAP steps hold
+    far = cli.STEP_CAP // 2 if what == "up-steps" else 10 * cap
+    for n in (cap + 1, far):
         code, out, err = run(capsys, command, *args(n))
         assert code == 1
         assert out == ""

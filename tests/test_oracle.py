@@ -78,6 +78,31 @@ def test_work_bound_charges_each_front(small_work_cap):
         brute_count_down(EPSILON, w("11"))
     small_work_cap(work)
     assert brute_count_down(EPSILON, w("11")) == 1
+    # S-paths from a word back to its rank, with the fronts stepped from as
+    # (words, rank): 1 -> {e; 11, 2} -> 1 steps from 1, then from e and from
+    # 11, 2; from 111 the walk never steps from e, since three steps down
+    # leave one step for its two up-steps
+    for word, S, fronts, paths in (
+        ("1", 1, [(1, 1), (1, 0), (2, 2)], 3),
+        ("111", 2, [(1, 3), (1, 2), (2, 4), (1, 1), (2, 3), (4, 5), (2, 2), (4, 4)], 21),
+    ):
+        work = sum(n * (rank + oracle._WORD_COST) for n, rank in fronts)
+        small_work_cap(work - 1)
+        with pytest.raises(EnumerationCapExceeded):
+            brute_count_s(w(word), w(word), S)
+        small_work_cap(work)
+        assert brute_count_s(w(word), w(word), S) == paths
+
+
+def test_walks_reach_the_rank_cap():
+    # a word of rank 3000 (the CLI's rank(y) cap) with one word per level:
+    # as a descent and as an S-path walk with S = 0 it is the same walk,
+    # and it fits the work bound
+    oracle.clear_caches()
+    y = w("1" * 3000)
+    assert brute_count_down(EPSILON, y) == 1
+    assert brute_count_s(EPSILON, y, 0) == 1
+    oracle.clear_caches()
 
 
 def test_walks_build_no_words(monkeypatch):
@@ -146,11 +171,10 @@ def test_trajectory_endpoint_mismatch():
 
 
 def test_s_zero_matches_down():
-    for ry in range(5):
+    for ry in range(7):
         for y in level(ry):
-            for rx in range(ry + 1):
-                for x in level(rx):
-                    assert brute_count_s(x, y, 0) == brute_count_down(x, y)
+            for X in range(ry + 1):
+                assert oracle.s_path_distribution(y, X, 0) == oracle._down(y, X)
 
 
 def test_s_hand_enumerated():
@@ -160,16 +184,17 @@ def test_s_hand_enumerated():
 
 
 def test_s_dp_matches_trajectory_sum():
-    for ry in range(4):
+    # an S-path walk is the sum of the trajectory walks with S up-steps, word
+    # by word: this pins the fronts the walks drop
+    for ry in range(7):
         for y in level(ry):
-            for rx in range(ry + 1):
-                for x in level(rx):
-                    for S in range(3):
-                        by_traj = sum(
-                            brute_count_trajectory(x, y, t)
-                            for t in enumerate_trajectories(rx, ry, S)
-                        )
-                        assert brute_count_s(x, y, S) == by_traj
+            for X in range(ry + 1):
+                for S in range(4):
+                    want = {}
+                    for t in enumerate_trajectories(X, ry, S):
+                        for d, c in oracle.trajectory_distribution(y, t).items():
+                            want[d] = want.get(d, 0) + c
+                    assert oracle.s_path_distribution(y, X, S) == want, (y, X, S)
 
 
 def test_xi_no_up_steps():

@@ -99,7 +99,6 @@ CALLED_FROM_OUTSIDE = {
     "oracle.clear_caches": "documented in the README",
     "cli._Parser.error": "called by argparse",
     "words.Word.twos": "a documented property of the public Word, read by tests",
-    "trajectories.Trajectory.length": "a property of the public Trajectory, read by tests",
 }
 
 
