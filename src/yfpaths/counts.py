@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from fractions import Fraction
 from math import comb, factorial, perm, prod
 
 from .functions import InconsistencyError, g_values, weight_row
@@ -41,42 +40,48 @@ __all__ = [
 ]
 
 
-def _exact(total: int | Fraction, divisor: int, what: str) -> int:
+# Each check below names what it checks by a format string and its arguments,
+# formatted only when the check fails: a query's words can be long.
+
+
+def _exact(total: int, divisor: int, what: str, *args: object) -> int:
     """total / divisor, checked to leave no remainder."""
     value, rest = divmod(total, divisor)
     if rest:
-        raise InconsistencyError(f"{what} evaluated to a non-integer")
+        raise InconsistencyError(f"{what.format(*args)} evaluated to a non-integer")
     return value
 
 
-def _as_count(total: int | Fraction, what: str, scale: int = 1) -> int:
+def _as_count(total: int, what: str, *args: object, scale: int = 1) -> int:
     """total / scale, checked to be a nonnegative integer."""
-    value = _exact(total, scale, what)
+    value = _exact(total, scale, what, *args)
     if value < 0:
-        raise InconsistencyError(f"{what} evaluated to negative {value}")
+        raise InconsistencyError(f"{what.format(*args)} evaluated to negative {value}")
     return value
 
 
-def _check_order(x: Word, y: Word, what: str) -> None:
-    if y.rank < x.rank:
-        raise ValueError(f"{what} needs rank({y}) >= rank({x})")
+def _weighted_count(
+    x: Word, y: Word, factors: Callable[[], Callable[[int], int]], what: str, *args: object
+) -> int:
+    """sum_{i=0}^{rank x} weight(x, y, i) * c_i, checked to be a count.
 
-
-def _weighted_count(x: Word, y: Word, factor: Callable[[int], int], what: str) -> int:
-    """sum_{i=0}^{rank x} weight(x, y, i) * factor(i), checked to be a count.
-
-    All three counts share this shape; only the factor c_i differs.  The sum
-    runs over the integer row rank(x)! * weight and is divided by rank(x)!
-    once, at the end; ``factor`` is called only where the weight is nonzero.
+    All three counts share this shape; only the factor c_i differs.  The rank
+    order is checked first, and only then is the factor i -> c_i built, by
+    ``factors()``.  The sum runs over the integer row rank(x)! * weight and
+    is divided by rank(x)! once, at the end; the factor is called only where
+    the weight is nonzero.
     """
-    _check_order(x, y, what)
-    total = sum(w * factor(i) for i, w in enumerate(weight_row(x, y)) if w)
-    return _as_count(total, what, factorial(x.rank))
+    if y.rank < x.rank:
+        raise ValueError(f"{what.format(*args)} needs rank({y}) >= rank({x})")
+    row = weight_row(x, y)
+    factor = factors()
+    total = sum(w * factor(i) for i, w in enumerate(row) if w)
+    return _as_count(total, what, *args, scale=factorial(x.rank))
 
 
 def count_down(x: Word, y: Word) -> int:
     """Number of rank-decreasing paths from y down to x."""
-    return _weighted_count(x, y, lambda i: 1, f"count_down({x}, {y})")
+    return _weighted_count(x, y, lambda: lambda i: 1, "count_down({}, {})", x, y)
 
 
 def count_down_from_top(x: Word) -> int:
@@ -100,8 +105,8 @@ def count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
     return _weighted_count(
         x,
         y,
-        lambda i: prod(pow(prod(e - i for e in es), m) for m, es in groups),
-        f"count_trajectory({x}, {y}, {t})",
+        lambda: lambda i: prod(pow(prod(e - i for e in es), m) for m, es in groups),
+        "count_trajectory({}, {}, {})", x, y, t,
     )
 
 
@@ -135,7 +140,7 @@ def _xi_from_head(X: int, Y: int, S: int, head: int) -> int:
         n = 2 * (S - k) + Y
         b = k * (n + 1) * (n + 2)
         p, q = b * q - (X - 2 * k + 2) * (X - 2 * k + 1) * (S - k + 1) * p, b * q
-    return _exact(head * p, q, f"xi({X}, {Y}, {S}, 0)")
+    return _exact(head * p, q, "xi({}, {}, {}, 0)", X, Y, S)
 
 
 def xi(X: int, Y: int, S: int, i: int = 0) -> int:
@@ -160,7 +165,7 @@ def _xi_row(X: int, Y: int, S: int) -> list[int]:
     head = xi_zero(Y, S)
     row = [_xi_from_head(X, Y, S, head)]
     for i in range(1, X + 1):
-        head = _exact(head * (Y - i + 1), Y - i + 1 + 2 * S, f"xi_zero({Y - i}, {S})")
+        head = _exact(head * (Y - i + 1), Y - i + 1 + 2 * S, "xi_zero({}, {})", Y - i, S)
         row.append(_xi_from_head(X - i, Y - i, S, head))
     return row
 
@@ -169,9 +174,9 @@ def count_s_paths(x: Word, y: Word, S: int) -> int:
     """Number of paths from y to x with exactly S up-steps."""
     if S < 0:
         raise ValueError("S must be nonnegative")
-    what = f"count_s_paths({x}, {y}, {S})"
-    _check_order(x, y, what)  # the row needs rank(y) >= rank(x)
-    return _weighted_count(x, y, _xi_row(x.rank, y.rank, S).__getitem__, what)
+    return _weighted_count(
+        x, y, lambda: _xi_row(x.rank, y.rank, S).__getitem__, "count_s_paths({}, {}, {})", x, y, S
+    )
 
 
 def count_s_paths_from_top(x: Word, S: int) -> int:

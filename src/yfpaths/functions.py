@@ -23,6 +23,10 @@ divides by (g - i)^2 at each 2; one backward walk over those digits
 take that start and walk from one helper (``_lagrange_walk``), so neither
 divides until ``f_rec`` builds its ``Fraction`` (memoized, the one memo
 here), and the row multiplies in only the factors that remain.
+
+``f_base`` and the closed form take their suffix split from
+:func:`yfpaths.words.suffix_split`; ``_f_rec`` and ``weight_row`` find theirs
+by their own scans, so ``f --verify`` compares two evaluators written apart.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
 
-from .words import Word, common_suffix_len, start1, start2, suffix_sum
+from .words import Word, common_suffix_len, start1, start2, suffix_split, suffix_sum
 
 
 class InconsistencyError(RuntimeError):
@@ -89,17 +93,12 @@ def f_base(x: Word, y: int) -> Fraction:
     if not 0 <= y <= x.rank:
         raise ValueError(f"f argument y={y} out of range 0..{x.rank} for {x}")
     digits = x.digits
-    n = len(digits)
-    split = n
-    s = 0
-    while split > 0 and s < y:
-        split -= 1
-        s += digits[split]
+    split, s = suffix_split(digits, y)
     if s != y:
         return Fraction(0)
     den = 1
     run = 0
-    for k in range(split, n):
+    for k in range(split, len(digits)):
         run += digits[k]
         den *= -run
     run = 0
@@ -136,16 +135,13 @@ def _walk(digits: tuple[int, ...], a: int) -> int:
     return v
 
 
-def _lagrange_walk(digits: tuple[int, ...], rank: int, i: int, k: int, w: int) -> tuple[int, int]:
-    """((-1)^i C(rank, i) V, t), where i is the sum of the last k digits and
-    the chain strips at most w of them: V walks the last min(k, w) digits
-    (see :func:`_walk`) and t counts the 2s among them."""
-    n = len(digits)
-    start = n - min(k, w)
-    walked = digits[start:]
-    # the walk starts from i less the walked digits: the digits it leaves
-    v = _walk(walked, sum(digits[n - k:start]))
-    return (-1) ** i * comb(rank, i) * v, walked.count(2)
+def _lagrange_walk(digits: tuple[int, ...], rank: int, i: int, m: int, s: int) -> tuple[int, int]:
+    """((-1)^i C(rank, i) V, t), where i is a suffix sum of ``digits`` and
+    the chain strips their last m digits, of sum s: V walks those digits
+    from i - s, the sum of the digits it leaves (see :func:`_walk`), and
+    t = s - m counts the 2s among them."""
+    v = _walk(digits[len(digits) - m:], i - s)
+    return (-1) ** i * comb(rank, i) * v, s - m
 
 
 _ZERO = Fraction(0)
@@ -164,7 +160,8 @@ def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
     if s != y:
         return _ZERO
     rank = sum(digits)
-    lead, t = _lagrange_walk(digits, rank, y, k, z)
+    m = min(k, z)  # the digits the chain strips
+    lead, t = _lagrange_walk(digits, rank, y, m, sum(digits[n - m:]))
     diffs = _g_less(digits, y)
     return Fraction(lead * prod(diffs[t:]), factorial(rank) * prod(diffs[:t]))
 
@@ -186,34 +183,26 @@ def f_explicit_terms(x: Word, y: int, z: int) -> list[Fraction]:
           + f_base(start2(x, c), y - c) / D'(c)
 
     where D(i) multiplies (g(x, j) - y) over all j with g(x, j) - 1 <= i and
-    D'(c) over all j with g(x, j) - 1 < c.  For c >= y the second coordinate
-    bottoms out first and the sum stops at i = y - 2 with no closing term.
-    There are at most 1 + min(c, y - 1) summands.
+    D'(c) over all j with g(x, j) - 1 < c.  So D is one running product, which
+    takes in (i + 1 - y) at each i where i + 1 is a g value of x, and D'(c)
+    is D(c - 1), the loop's last divisor (1 when c = 0).  For c >= y the
+    second coordinate bottoms out first and the sum stops at i = y - 2 with
+    no closing term.  There are at most 1 + min(c, y - 1) summands.
     """
     _validate_key(x, y, z)
     if y == 0:
         return [f_base(x, 0)]
     c = suffix_sum(x, z)
-    gs = g_values(x)
-
-    def divisor(i: int, strict: bool = False) -> int:
-        out = 1
-        for g in gs:
-            if (g - 1 < i) if strict else (g - 1 <= i):
-                out *= g - y
-        return out
-
+    gs = set(g_values(x))
     terms = []
-    upper = c if c <= y - 1 else y - 1
-    for i in range(upper):
-        den = divisor(i)
-        if den == 0:
-            raise InconsistencyError(f"zero divisor in closed form at ({x}, {y}, {z}), i={i}")
+    den = 1
+    for i in range(min(c, y - 1)):
+        if i + 1 in gs:
+            den *= i + 1 - y
+            if den == 0:
+                raise InconsistencyError(f"zero divisor in closed form at ({x}, {y}, {z}), i={i}")
         terms.append(f_base(start1(x, i), y - i) / den)
     if c <= y - 1:
-        den = divisor(c, strict=True)
-        if den == 0:
-            raise InconsistencyError(f"zero divisor in closed form at ({x}, {y}, {z}), tail")
         prefix = start2(x, c)
         assert prefix is not None  # c is a suffix digit-sum by construction
         terms.append(f_base(prefix, y - c) / den)
@@ -257,12 +246,15 @@ def weight_row(x: Word, y: Word) -> list[int]:
     digits = x.digits
     rank = x.rank
     h = common_suffix_len(x, y)
-    c = digits[len(digits) - h:].count(2)
+    sums = list(accumulate(reversed(digits), initial=0))
+    c = sums[h] - h  # the 2s of the common suffix
     gx = g_values(x)
     shared, rest = gx[:c], gx[c:] + g_values(y)[c:]
     row = [0] * (rank + 1)
-    for k, i in enumerate(accumulate(reversed(digits), initial=0)):
-        lead, t = _lagrange_walk(digits, rank, i, k, h)
+    for k, i in enumerate(sums):
+        # the walk strips the last k digits, at most the h of the common suffix
+        m, s = (k, i) if k <= h else (h, sums[h])
+        lead, t = _lagrange_walk(digits, rank, i, m, s)
         row[i] = lead * prod([g - i for g in shared[t:]]) ** 2 * prod([g - i for g in rest])
     return row
 

@@ -61,14 +61,10 @@ class Trajectory:
         return (self.length + self.end - self.start) // 2
 
     @property
-    def up_positions(self) -> tuple[int, ...]:
-        """1-based indices of the up-steps."""
-        return tuple(i + 1 for i, s in enumerate(self.steps) if s == 1)
-
-    @property
     def up_values(self) -> tuple[int, ...]:
         """Heights reached by the up-steps, in order."""
-        return tuple(self.values[i] for i in self.up_positions)
+        values = self.values
+        return tuple(b for a, b in zip(values, values[1:]) if b > a)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.values))

@@ -6,9 +6,11 @@ level n contains F_{n+1} words (Fibonacci numbers with F_0 = 0, F_1 = 1).
 
 The covering structure is encoded by :func:`tuples_below`, on plain digit
 tuples, which :func:`predecessors` (neighbours one rank down) and
-:func:`successors` (one rank up) wrap.  Suffix-oriented helpers
-(:func:`common_suffix_len`, :func:`suffix_sum`, :func:`start1`,
-:func:`start2`) support the exact counting formulas built on top.
+:func:`successors` (one rank up) wrap.  Suffix-oriented helpers support the
+exact counting formulas built on top: :func:`common_suffix_len`,
+:func:`suffix_sum`, and :func:`suffix_split`, one right-to-left scan on a
+digit tuple from which :func:`start1`, :func:`start2` and
+``functions.f_base`` take their split.
 """
 
 from __future__ import annotations
@@ -105,14 +107,15 @@ def suffix_sum(x: Word, a: int) -> int:
     return sum(x.digits[x.digit_count - a:])
 
 
-def _suffix_sum_splits(x: Word) -> dict[int, int]:
-    """Map each suffix digit-sum to the index where that suffix starts."""
-    splits = {0: len(x.digits)}
-    s = 0
-    for i in range(len(x.digits) - 1, -1, -1):
-        s += x.digits[i]
-        splits[s] = i
-    return splits
+def suffix_split(digits: tuple[int, ...], a: int) -> tuple[int, int]:
+    """(i, s): ``digits[i:]`` is the shortest suffix whose digit sum s reaches
+    ``a``, for 0 <= a <= the digit sum.  s is a, or a + 1 when a 2 straddles a
+    (``digits[i]`` is that 2)."""
+    i, s = len(digits), 0
+    while s < a:
+        i -= 1
+        s += digits[i]
+    return i, s
 
 
 def start1(x: Word, a: int) -> Word:
@@ -121,28 +124,20 @@ def start1(x: Word, a: int) -> Word:
     With x = x'1x'' and digit-sum(x'') = a the value is x'1; with x = x'2x''
     it is x'11; when a is not a suffix digit-sum it splits a 2 (a-1 is one,
     followed by a 2) and the value is x'1.  At a = rank(x) the value is the
-    empty word.  Exactly one case applies; this is asserted.
+    empty word.  The cases are read off one :func:`suffix_split`, so exactly
+    one applies.
     """
     if not 0 <= a <= x.rank:
         raise ValueError(f"start1 argument {a} out of range for {x}")
-    if a == x.rank:
-        return EPSILON
     digits = x.digits
-    splits = _suffix_sum_splits(x)
-    matches = []
-    if a in splits:
-        i = splits[a]
-        if digits[i - 1] == 1:
-            matches.append(Word(digits[:i]))
-        else:
-            matches.append(Word(digits[: i - 1] + (1, 1)))
-    if a - 1 in splits:
-        i = splits[a - 1]
-        if i >= 1 and digits[i - 1] == 2:
-            matches.append(Word(digits[: i - 1] + (1,)))
-    if len(matches) != 1:
-        raise AssertionError(f"start1 cases not mutually exclusive at ({x}, {a})")
-    return matches[0]
+    i, s = suffix_split(digits, a)
+    if s > a:  # x = x'2x'' with the 2 straddling a
+        return Word(digits[:i] + (1,))
+    if i == 0:
+        return EPSILON
+    if digits[i - 1] == 1:
+        return Word(digits[:i])
+    return Word(digits[: i - 1] + (1, 1))
 
 
 def start2(x: Word, a: int) -> Word | None:
@@ -152,10 +147,8 @@ def start2(x: Word, a: int) -> Word | None:
     """
     if not 0 <= a <= x.rank:
         raise ValueError(f"start2 argument {a} out of range for {x}")
-    splits = _suffix_sum_splits(x)
-    if a not in splits:
-        return None
-    return Word(x.digits[: splits[a]])
+    i, s = suffix_split(x.digits, a)
+    return Word(x.digits[:i]) if s == a else None
 
 
 def level(n: int) -> list[Word]:

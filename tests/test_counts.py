@@ -247,6 +247,36 @@ def test_integrality_guard():
     assert _as_count(Fraction(7), "test") == 7
 
 
+def test_successful_counts_format_no_label(monkeypatch):
+    # a query's words and trajectory are formatted only when a check fails
+    calls = []
+    x, y = w("2112"), w("1212112")
+    t = enumerate_trajectories(x.rank, y.rank, 2)[-1]
+    monkeypatch.setattr(Word, "__str__", lambda self: calls.append(self) or "w")
+    monkeypatch.setattr(Trajectory, "__str__", lambda self: calls.append(self) or "t")
+    assert count_down(x, y) > 0
+    assert count_trajectory(x, y, t) > 0
+    assert count_s_paths(x, y, 3) > 0
+    assert calls == []
+
+
+def test_failed_checks_name_the_query(monkeypatch):
+    x, y = w("11"), w("1211")
+    with pytest.raises(ValueError, match=r"^count_down\(1211, 11\) needs rank\(11\) >= rank\(1211\)$"):
+        count_down(y, x)
+    # the S-path factor row is built only once the rank order holds: for
+    # rank(y) < rank(x) it would divide by zero
+    with pytest.raises(ValueError, match=r"^count_s_paths\(2222222, 1, 0\) needs rank\(1\)"):
+        count_s_paths(w("2" * 7), w("1"), 0)
+    # a row that does not sum to a multiple of rank(x)! is not a count
+    monkeypatch.setattr(counts, "weight_row", lambda x, y: [1, 0, 0])
+    with pytest.raises(InconsistencyError, match=r"^count_down\(11, 1211\) evaluated to a non-integer$"):
+        count_down(x, y)
+    monkeypatch.setattr(counts, "weight_row", lambda x, y: [-2, 0, 0])
+    with pytest.raises(InconsistencyError, match=r"^count_s_paths\(11, 1211, 0\) evaluated to negative -1$"):
+        count_s_paths(x, y, 0)
+
+
 def test_xi_recurrence_in_first_argument():
     # descending recurrence: value at X from values at X-1 and X-2
     for Y in range(2, 7):

@@ -1,3 +1,5 @@
+from itertools import product
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -183,6 +185,28 @@ def test_start_functions_range_errors():
             start1(x, a)
         with pytest.raises(ValueError):
             start2(x, a)
+
+
+def test_start_functions_match_the_paper_cases():
+    # every word of at most 10 digits, every a: the three start1 cases, built
+    # here from slices and sums, are mutually exclusive and exactly one
+    # applies below rank(x); start2 is the prefix left of a suffix of sum a
+    for n in range(11):
+        for digits in product((1, 2), repeat=n):
+            x = Word(digits)
+            for a in range(x.rank + 1):
+                cases = []
+                for j in range(n):  # x = x' d x'' with x' = digits[:j], d = digits[j]
+                    rest = sum(digits[j + 1:])
+                    if rest == a:
+                        cases.append(digits[:j] + ((1,) if digits[j] == 1 else (1, 1)))
+                    if digits[j] == 2 and rest == a - 1:
+                        cases.append(digits[:j] + (1,))
+                want = () if a == x.rank else cases[0]
+                assert len(cases) == (a < x.rank), (x, a, cases)
+                assert start1(x, a) == Word(want), (x, a)
+                prefixes = [digits[:j] for j in range(n + 1) if sum(digits[j:]) == a]
+                assert start2(x, a) == (Word(prefixes[0]) if prefixes else None), (x, a)
 
 
 @given(words, st.integers(min_value=0, max_value=20))
