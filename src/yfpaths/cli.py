@@ -40,12 +40,11 @@ import argparse
 import json
 import sys
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
 from functools import partial
 from math import comb
 
-from . import counts, invariants, oracle
+from . import counts, oracle
 from .functions import InconsistencyError, f_explicit, f_rec
 from .trajectories import EnumerationCapExceeded, Trajectory, enumerate_trajectories
 from .words import EPSILON, Word, level, parse_word, predecessors, successors
@@ -86,16 +85,25 @@ def _result(command, args, value, oracle_value=None, agree=None, millis=0.0) -> 
     }
 
 
-@dataclass
 class VerifySection:
-    """One verification sweep: its effective caps and what it found."""
+    """One verification sweep: its effective caps and what it found.  The
+    ``--json`` section is ``vars`` of it, so its keys come in this order."""
 
-    name: str
-    caps: dict[str, int]
-    checks: int = 0
-    skipped: int = 0
-    failures: list[str] = field(default_factory=list)
-    millis: float = 0.0
+    def __init__(
+        self,
+        name: str,
+        caps: dict[str, int],
+        checks: int,
+        skipped: int,
+        failures: list[str],
+        millis: float,
+    ) -> None:
+        self.name = name
+        self.caps = caps
+        self.checks = checks
+        self.skipped = skipped
+        self.failures = failures
+        self.millis = millis
 
 
 def _millis(seconds: float) -> float:
@@ -111,7 +119,7 @@ def _word_pairs(max_rank: int):
                     yield x, y
 
 
-def _agreements(formula: Callable, reference: Callable, label: str, cases) -> invariants.Outcomes:
+def _agreements(formula: Callable, reference: Callable, label: str, cases) -> Iterator[bool | str]:
     """For each case, a tuple of arguments: True when ``formula`` and
     ``reference`` agree on it, else its failure label, formatted with the
     case.  An inconsistency inside the formula is a failure too."""
@@ -153,6 +161,8 @@ def run_verification(max_rank: int, max_s: int) -> list[VerifySection]:
     than ``TRAJ_LENGTH_CAP`` are counted as skipped, without being built.
     Every section records the caps it ran under and its wall-clock time.
     """
+    from . import invariants  # only verify runs the identity suites
+
     traj_rank, spath_rank, xi_rank = min(max_rank, 4), min(max_rank, 5), min(max_rank, 6)
     digits, degree_rank = min(max_rank, 6), min(max_rank, 8)
 
@@ -347,7 +357,6 @@ def _dot(a) -> tuple[object, None]:
     return hasse_dot(_int_arg(a.n, "N", DOT_RANK_CAP)), None
 
 
-@dataclass(frozen=True)
 class Command:
     """A point-query subcommand.
 
@@ -357,11 +366,19 @@ class Command:
     such flag); ``text`` renders the value for plain output.
     """
 
-    help: str
-    run: Callable[[argparse.Namespace], tuple[object, Thunk | None]]
-    positionals: tuple[tuple[str, str], ...]
-    verify: str | None = None
-    text: Callable[[object], str] = str
+    def __init__(
+        self,
+        help: str,
+        run: Callable[[argparse.Namespace], tuple[object, Thunk | None]],
+        positionals: tuple[tuple[str, str], ...],
+        verify: str | None = None,
+        text: Callable[[object], str] = str,
+    ) -> None:
+        self.help = help
+        self.run = run
+        self.positionals = positionals
+        self.verify = verify
+        self.text = text
 
 
 _ORACLE = "cross-check against the brute-force oracle, which fails past its work bound"

@@ -12,7 +12,9 @@ Their combination ``weight(x, y, i) = f(x, i, h) * prod_j (g(y, j) - i)``,
 with h the common-suffix length, is the coefficient array of the counting
 formulas.  Everything is exact: values are ``fractions.Fraction``, except
 ``weight_row``, which gives rank(x)! * weight(x, y, i) for every i as plain
-integers for the counts.
+integers for the counts.  ``fractions`` is imported by the first f value
+built (see :func:`Fraction`), not with this module, so a count, which needs
+only ``weight_row``, never loads it.
 
 ``f_rec`` and ``weight_row`` share one evaluation of the recursion.  The g
 values of x are the m in 0..rank(x) that no suffix digit sum of x hits, so
@@ -31,12 +33,22 @@ by their own scans, so ``f --verify`` compares two evaluators written apart.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
 
 from .words import Word, common_suffix_len, start1, start2, suffix_split, suffix_sum
+
+
+def Fraction(*args):
+    """``fractions.Fraction``, imported by the first f value built: a count
+    builds none, so it never imports ``fractions`` (nor the ``decimal`` that
+    imports).  That first call rebinds this name to the class, so no later
+    one pays for an import statement."""
+    global Fraction
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 class InconsistencyError(RuntimeError):
@@ -144,9 +156,6 @@ def _lagrange_walk(digits: tuple[int, ...], rank: int, i: int, m: int, s: int) -
     return (-1) ** i * comb(rank, i) * v, s - m
 
 
-_ZERO = Fraction(0)
-
-
 @lru_cache(maxsize=1 << 15)
 def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
     # rank! f_base(x, y) is (-1)^y C(rank, y) prod_g (g - y) (see weight_row),
@@ -158,7 +167,7 @@ def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
         k += 1
         s += digits[n - k]
     if s != y:
-        return _ZERO
+        return Fraction(0)
     rank = sum(digits)
     m = min(k, z)  # the digits the chain strips
     lead, t = _lagrange_walk(digits, rank, y, m, sum(digits[n - m:]))

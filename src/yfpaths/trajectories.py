@@ -5,12 +5,12 @@ statistics are the number of up-steps and the *up-values* e(1), e(2), ...:
 the heights reached by each up-step; the trajectory-path count depends on
 the trajectory only through them.  :func:`enumerate_trajectories` lists
 every trajectory of given endpoints and up-step count, for the ``verify``
-sweeps and the tests.
+sweeps and the tests.  :class:`Trajectory`, like ``words.Word``, is a
+hand-written ``__slots__`` class, so importing it costs no ``inspect``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 
 ENUMERATION_CAP = 10_000_000  # most walks one enumeration may return
@@ -20,14 +20,16 @@ class EnumerationCapExceeded(RuntimeError):
     """An enumeration grew past the configured size cap."""
 
 
-@dataclass(frozen=True, slots=True)
 class Trajectory:
-    """Unit-step walk over the nonnegative integers; ``values[0]`` is the start."""
+    """Unit-step walk over the nonnegative integers; ``values[0]`` is the start.
 
-    values: tuple[int, ...]
+    Immutable; trajectories compare and hash by their values, never equal to
+    another type.
+    """
 
-    def __post_init__(self) -> None:
-        values = self.values
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]) -> None:
         if not values:
             raise ValueError("a trajectory needs a starting value")
         for i in range(1, len(values)):
@@ -38,6 +40,26 @@ class Trajectory:
         for i, v in enumerate(values):
             if v < 0:
                 raise ValueError(f"value {v} at position {i} is negative")
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; the default sets the slot
+        # through __setattr__, which refuses
+        return Trajectory, (self.values,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     @property
     def length(self) -> int:
@@ -68,6 +90,9 @@ class Trajectory:
 
     def __str__(self) -> str:
         return ",".join(map(str, self.values))
+
+    def __repr__(self) -> str:
+        return f"Trajectory(values={self.values!r})"
 
 
 def parse_trajectory(text: str) -> Trajectory:

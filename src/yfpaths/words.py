@@ -11,25 +11,48 @@ exact counting formulas built on top: :func:`common_suffix_len`,
 :func:`suffix_sum`, and :func:`suffix_split`, one right-to-left scan on a
 digit tuple from which :func:`start1`, :func:`start2` and
 ``functions.f_base`` take their split.
+
+:class:`Word` is a hand-written ``__slots__`` class, so importing it costs
+no ``inspect`` (with its ``ast``, ``dis`` and ``tokenize``), which a
+generated class would import and a ``yf`` point query has no use for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 EMPTY_WORD_TEXTS = ("e", "eps")
 
 
-@dataclass(frozen=True, slots=True)
 class Word:
-    """Immutable digit string over {1, 2}; ``digits[0]`` is the leftmost digit."""
+    """Immutable digit string over {1, 2}; ``digits[0]`` is the leftmost digit.
 
-    digits: tuple[int, ...] = ()
+    Words compare and hash by their digits, never equal to another type.
+    """
 
-    def __post_init__(self) -> None:
-        digits = self.digits
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: tuple[int, ...] = ()) -> None:
         if digits.count(1) + digits.count(2) != len(digits):
             raise ValueError(f"word digits must be 1 or 2, got {digits!r}")
+        object.__setattr__(self, "digits", digits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; the default sets the slot
+        # through __setattr__, which refuses
+        return Word, (self.digits,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.digits == other.digits
+
+    def __hash__(self) -> int:
+        return hash(self.digits)
 
     @property
     def rank(self) -> int:

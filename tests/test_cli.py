@@ -1,7 +1,6 @@
 import json
 import shlex
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -568,6 +567,32 @@ def test_readme_cli_examples_run(capsys, argv):
     assert out
 
 
+def _squeezed(text):
+    # argparse wraps help text at spaces and hyphens
+    return "".join(text.split())
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    for name, command in cli.COMMANDS.items():
+        assert name in out and _squeezed(command.help) in _squeezed(out)
+    assert "verify" in out
+
+
+@pytest.mark.parametrize("name", [*cli.COMMANDS, "verify"])
+def test_command_help_lists_every_argument(capsys, name):
+    code, out, err = run(capsys, name, "--help")
+    assert code == 0 and err == ""
+    command = cli.COMMANDS.get(name)
+    for positional, text in command.positionals if command else ():
+        assert positional in out and _squeezed(text) in _squeezed(out)
+    verify = command.verify if command else None
+    assert ("--verify" in out) == (verify is not None)
+    assert verify is None or _squeezed(verify) in _squeezed(out)
+    assert "--json" in out
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--max-rank", "4", "--max-S", "1")
     assert code == 0
@@ -587,6 +612,8 @@ def test_verify_json(capsys):
     assert sections["trajectory-paths"]["caps"] == {"rank": 3, "S": 1, "length": 8}
     assert sections["identity: hook factorial"]["caps"] == {"digits": 3}
     assert all(isinstance(s["millis"], float) and s["millis"] >= 0 for s in sections.values())
+    keys = ["name", "caps", "checks", "skipped", "failures", "millis"]
+    assert all(list(s) == keys for s in payload["sections"])
 
 
 def _verify_lines(capsys, max_rank, max_s):
@@ -746,7 +773,9 @@ def test_exceptions_map_to_exit_codes(capsys, monkeypatch, exc, code, line):
     def raising_run(a):
         raise exc
 
-    monkeypatch.setitem(cli.COMMANDS, "down", replace(cli.COMMANDS["down"], run=raising_run))
+    down = cli.COMMANDS["down"]
+    raising = cli.Command(down.help, raising_run, down.positionals, down.verify, down.text)
+    monkeypatch.setitem(cli.COMMANDS, "down", raising)
     got, out, err = run(capsys, "down", "e", "1")
     assert got == code
     assert out == ""

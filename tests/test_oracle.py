@@ -111,13 +111,13 @@ def test_walks_build_no_words(monkeypatch):
     t = Trajectory((8, 7, 6, 7, 6, 5, 4, 3))
     oracle.clear_caches()
     built = []
-    validate = Word.__post_init__
+    validate = Word.__init__
 
-    def counted(word):
-        built.append(word.digits)
-        validate(word)
+    def counted(word, digits=()):
+        built.append(digits)
+        validate(word, digits)
 
-    monkeypatch.setattr(Word, "__post_init__", counted)
+    monkeypatch.setattr(Word, "__init__", counted)
     assert brute_count_down(x, y) > 0
     assert brute_count_trajectory(x, y, t) > 0
     assert brute_count_s(x, y, 2) > 0

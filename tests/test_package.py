@@ -1,13 +1,19 @@
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import yfpaths
 from yfpaths.cli import run_verification
+from yfpaths.functions import f_base, f_explicit, f_rec
+from yfpaths.words import Word
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,3 +136,55 @@ def test_src_defines_only_what_src_runs():
         and name not in yfpaths.__all__
     }
     assert unreached == set(CALLED_FROM_OUTSIDE)
+
+
+# Modules no point query runs: dataclasses, and the inspect it imports, for
+# small value classes; fractions for f values only; the identity suites for
+# verify only.
+NOT_FOR_POINT_QUERIES = {"dataclasses", "inspect", "fractions", "yfpaths.invariants"}
+
+# Runs yf in a fresh interpreter, then prints the modules it loaded beyond
+# the bare interpreter's own, space-separated, on the last line.
+_CHILD = """
+import sys
+bare = set(sys.modules)
+from yfpaths.cli import main
+main(sys.argv[1:])
+print()
+print(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+
+def _loaded_by(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _CHILD, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("down", "e", "22"),
+        ("traj", "e", "22", "4,3,2,1,0"),
+        ("spaths", "e", "22", "2"),
+        ("xi", "2", "4", "2", "1"),
+    ],
+)
+def test_point_queries_import_only_what_they_run(argv):
+    loaded = _loaded_by(*argv, "--verify", "--json")
+    assert "yfpaths.cli" in loaded
+    assert loaded.isdisjoint(NOT_FOR_POINT_QUERIES), loaded & NOT_FOR_POINT_QUERIES
+
+
+def test_f_values_and_verify_import_what_they_need():
+    loaded = _loaded_by("f", "21", "2", "1", "--verify", "--json")
+    assert "fractions" in loaded and "yfpaths.invariants" not in loaded
+    assert "yfpaths.invariants" in _loaded_by("verify", "--max-rank", "2", "--max-S", "0")
+    # f values stay fractions, zero ones too (no suffix of 21 sums to 2)
+    x = Word((2, 1))
+    values = [f_rec(x, 3, 1), f_rec(x, 2, 1), f_base(x, 1), f_base(x, 2), f_explicit(x, 3, 1)]
+    assert all(type(v) is Fraction for v in values)
+    assert values == [Fraction(-1, 3), 0, Fraction(-1, 2), 0, Fraction(-1, 3)]

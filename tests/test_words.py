@@ -1,9 +1,13 @@
+import copy
+import pickle
+import re
 from itertools import product
 
 from hypothesis import given, strategies as st
 import pytest
 
 from reference import concat
+from yfpaths.trajectories import Trajectory
 from yfpaths.words import (
     EPSILON,
     Word,
@@ -44,6 +48,50 @@ def test_parse_rejects_garbage(bad):
 def test_word_rejects_bad_digits():
     with pytest.raises(ValueError):
         Word((1, 3))
+
+
+@pytest.mark.parametrize(
+    "cls, field, value, other, text, shown",
+    [
+        (Word, "digits", (1, 2, 1), (1, 2), "121", "Word(121)"),
+        (Word, "digits", (), (1,), "e", "Word(e)"),
+        (Trajectory, "values", (3, 2, 1), (3, 2), "3,2,1", "Trajectory(values=(3, 2, 1))"),
+    ],
+)
+def test_words_and_trajectories_are_immutable_values(cls, field, value, other, text, shown):
+    a, b = cls(value), cls(**{field: value})
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != cls(other) and not a == cls(other)
+    assert {a: "a"}[b] == "a" and len({a, b, cls(other)}) == 2
+    # never equal to a bare tuple, nor to the other class on the same tuple
+    assert a != value and value != a
+    assert a != (Trajectory((1,)) if cls is Word else Word((1,)))
+    assert Word((1,)) != Trajectory((1,))
+    with pytest.raises(AttributeError):
+        setattr(a, field, other)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.label = "x"
+    assert getattr(a, field) == value
+    assert not hasattr(a, "__dict__")
+    assert str(a) == text and repr(a) == shown
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Word((1, 3)), "word digits must be 1 or 2, got (1, 3)"),
+        (lambda: Word((0,)), "word digits must be 1 or 2, got (0,)"),
+        (lambda: Trajectory(()), "a trajectory needs a starting value"),
+        (lambda: Trajectory((2, 0)), "step 1 is -2, must be +1 or -1"),
+        (lambda: Trajectory((1, 0, -1)), "value -1 at position 2 is negative"),
+    ],
+)
+def test_invalid_digits_and_steps_raise_the_same_errors(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @given(words)
