@@ -270,9 +270,12 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # ``spaths`` is rank(x) + 1 such sums, each finished by one divide of a
 # (2S - 1)!!-sized number: rank(x) 100 at S = 20000 takes ~0.4 s at rank(y)
 # 150 and ~0.5 s at rank(y) 3000.  ``f`` walks the digits of x: ``f_rec``
-# takes up to ~0.11 s at rank(x) 10000 and ~0.4 s at 20000; the closed form
-# under ``--verify`` ~0.25 s at 1000 and ~1.6 s at 2000.  The oracle bounds its own
-# work (``oracle.WORK_CAP``), so ``--verify`` adds a cap only to ``f``.
+# takes up to ~0.11 s at rank(x) 10000 and ~0.4 s at 20000.  The closed form
+# that ``--verify`` adds is one pass over the g values of x: 1 ms at rank(x)
+# 1000, 3 ms at 2000 and ~0.08 s at 10000, so ``yf f 1^N N-1 N --verify``
+# takes ~66 ms of wall time at N = 1000 and 2000 and ~0.26 s at 10000 (with
+# the cap lifted).  The oracle bounds its own work (``oracle.WORK_CAP``), so
+# ``--verify`` adds a cap only to ``f``.
 # Each ``verify`` rank costs up to ~2.2 times the one below, and each S past 3
 # up to ~1.2 times: (10, 5) takes ~2 s.
 LEVEL_RANK_CAP = 24

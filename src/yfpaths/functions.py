@@ -4,7 +4,8 @@ Two scalar functions drive all path counts:
 
 * the *lower* function ``f(x, y, z)`` -- a rational defined by a product
   formula at z = 0 plus a recursion in z (``f_base``, ``f_rec``), together
-  with an unrolled closed form with O(rank) summands (``f_explicit``);
+  with the paper's unrolled closed form (``f_explicit``), one sum of
+  small-integer ratios over the g values of x;
 * the *upper* function ``g(x, j)`` -- the j-th hook-like integer attached to
   the j-th 2 from the right (``g_values(x)[j - 1]``).
 
@@ -26,9 +27,10 @@ take that start and walk from one helper (``_lagrange_walk``), so neither
 divides until ``f_rec`` builds its ``Fraction`` (memoized, the one memo
 here), and the row multiplies in only the factors that remain.
 
-``f_base`` and the closed form take their suffix split from
-:func:`yfpaths.words.suffix_split`; ``_f_rec`` and ``weight_row`` find theirs
-by their own scans, so ``f --verify`` compares two evaluators written apart.
+``f_base`` takes its suffix split from :func:`yfpaths.words.suffix_split`,
+and the closed form reads only ``f_base`` and the g values; ``_f_rec`` and
+``weight_row`` find their splits by their own scans, so ``f --verify``
+compares two evaluators written apart.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
 
-from .words import Word, common_suffix_len, start1, start2, suffix_split, suffix_sum
+from .words import Word, common_suffix_len, suffix_split
 
 
 def Fraction(*args):
@@ -182,45 +184,32 @@ def f_rec(x: Word, y: int, z: int) -> Fraction:
     return _f_rec(x.digits, y, z)
 
 
-def f_explicit_terms(x: Word, y: int, z: int) -> list[Fraction]:
-    """The materialized summands of the closed form for f(x, y, z).
+def f_explicit(x: Word, y: int, z: int) -> Fraction:
+    """f(x, y, z) by the paper's closed form; agrees exactly with :func:`f_rec`.
 
-    Let c = suffix_sum(x, z).  For c <= y - 1 the unrolling ends on a
-    start2 term:
-
-        sum_{i=0}^{c-1} f_base(start1(x, i), y - i) / D(i)
-          + f_base(start2(x, c), y - c) / D'(c)
-
-    where D(i) multiplies (g(x, j) - y) over all j with g(x, j) - 1 <= i and
-    D'(c) over all j with g(x, j) - 1 < c.  So D is one running product, which
-    takes in (i + 1 - y) at each i where i + 1 is a g value of x, and D'(c)
-    is D(c - 1), the loop's last divisor (1 when c = 0).  For c >= y the
-    second coordinate bottoms out first and the sum stops at i = y - 2 with
-    no closing term.  There are at most 1 + min(c, y - 1) summands.
+    Each start word of the paper keeps x's prefix of digit sum rank(x) - y, so
+    for y >= 1 and c the digit sum of x's last z digits, summand i (i below
+    min(c, y - 1), and i = c if c < y) is f_base(x, y) (-1)^i y (y - 1) ...
+    (y - i + 1) over prod (y - g)^2, g the g values of x up to min(i + 1, c).
+    Each such g is below y, so no divisor is 0.
     """
     _validate_key(x, y, z)
-    if y == 0:
-        return [f_base(x, 0)]
-    c = suffix_sum(x, z)
+    base = f_base(x, y)
+    if y == 0 or not base:
+        return base
+    c = sum(x.digits[len(x.digits) - z:])
     gs = set(g_values(x))
-    terms = []
-    den = 1
+    num, den, fall = 0, 1, 1  # fall = (-1)^i y (y - 1) ... (y - i + 1)
     for i in range(min(c, y - 1)):
         if i + 1 in gs:
-            den *= i + 1 - y
-            if den == 0:
-                raise InconsistencyError(f"zero divisor in closed form at ({x}, {y}, {z}), i={i}")
-        terms.append(f_base(start1(x, i), y - i) / den)
+            sq = (y - i - 1) ** 2
+            num *= sq
+            den *= sq
+        num += fall
+        fall *= i - y
     if c <= y - 1:
-        prefix = start2(x, c)
-        assert prefix is not None  # c is a suffix digit-sum by construction
-        terms.append(f_base(prefix, y - c) / den)
-    return terms
-
-
-def f_explicit(x: Word, y: int, z: int) -> Fraction:
-    """f(x, y, z) by the closed form; agrees exactly with :func:`f_rec`."""
-    return sum(f_explicit_terms(x, y, z), Fraction(0))
+        num += fall
+    return base * Fraction(num, den)
 
 
 def weight(x: Word, y: Word, i: int) -> Fraction:

@@ -30,6 +30,7 @@ class Trajectory:
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)  # a tuple is kept as it is, a list copied
         if not values:
             raise ValueError("a trajectory needs a starting value")
         for i in range(1, len(values)):

@@ -6,11 +6,10 @@ level n contains F_{n+1} words (Fibonacci numbers with F_0 = 0, F_1 = 1).
 
 The covering structure is encoded by :func:`tuples_below`, on plain digit
 tuples, which :func:`predecessors` (neighbours one rank down) and
-:func:`successors` (one rank up) wrap.  Suffix-oriented helpers support the
-exact counting formulas built on top: :func:`common_suffix_len`,
-:func:`suffix_sum`, and :func:`suffix_split`, one right-to-left scan on a
-digit tuple from which :func:`start1`, :func:`start2` and
-``functions.f_base`` take their split.
+:func:`successors` (one rank up) wrap.  Two suffix helpers support the
+exact counting formulas built on top: :func:`common_suffix_len`, and
+:func:`suffix_split`, one right-to-left scan on a digit tuple from which
+``functions.f_base`` takes its split.
 
 :class:`Word` is a hand-written ``__slots__`` class, so importing it costs
 no ``inspect`` (with its ``ast``, ``dis`` and ``tokenize``), which a
@@ -31,6 +30,7 @@ class Word:
     __slots__ = ("digits",)
 
     def __init__(self, digits: tuple[int, ...] = ()) -> None:
+        digits = tuple(digits)  # a tuple is kept as it is, a list copied
         if digits.count(1) + digits.count(2) != len(digits):
             raise ValueError(f"word digits must be 1 or 2, got {digits!r}")
         object.__setattr__(self, "digits", digits)
@@ -123,13 +123,6 @@ def common_suffix_len(x: Word, y: Word) -> int:
     return n
 
 
-def suffix_sum(x: Word, a: int) -> int:
-    """Sum of the last ``a`` digits."""
-    if not 0 <= a <= x.digit_count:
-        raise ValueError(f"suffix length {a} out of range for {x}")
-    return sum(x.digits[x.digit_count - a:])
-
-
 def suffix_split(digits: tuple[int, ...], a: int) -> tuple[int, int]:
     """(i, s): ``digits[i:]`` is the shortest suffix whose digit sum s reaches
     ``a``, for 0 <= a <= the digit sum.  s is a, or a + 1 when a 2 straddles a
@@ -139,39 +132,6 @@ def suffix_split(digits: tuple[int, ...], a: int) -> tuple[int, int]:
         i -= 1
         s += digits[i]
     return i, s
-
-
-def start1(x: Word, a: int) -> Word:
-    """First start function: the word roughly "left of digit-sum a from the right".
-
-    With x = x'1x'' and digit-sum(x'') = a the value is x'1; with x = x'2x''
-    it is x'11; when a is not a suffix digit-sum it splits a 2 (a-1 is one,
-    followed by a 2) and the value is x'1.  At a = rank(x) the value is the
-    empty word.  The cases are read off one :func:`suffix_split`, so exactly
-    one applies.
-    """
-    if not 0 <= a <= x.rank:
-        raise ValueError(f"start1 argument {a} out of range for {x}")
-    digits = x.digits
-    i, s = suffix_split(digits, a)
-    if s > a:  # x = x'2x'' with the 2 straddling a
-        return Word(digits[:i] + (1,))
-    if i == 0:
-        return EPSILON
-    if digits[i - 1] == 1:
-        return Word(digits[:i])
-    return Word(digits[: i - 1] + (1, 1))
-
-
-def start2(x: Word, a: int) -> Word | None:
-    """Second start function: the prefix left of a suffix of digit-sum ``a``.
-
-    Returns None when ``a`` is not a suffix digit-sum of ``x``.
-    """
-    if not 0 <= a <= x.rank:
-        raise ValueError(f"start2 argument {a} out of range for {x}")
-    i, s = suffix_split(x.digits, a)
-    return Word(x.digits[:i]) if s == a else None
 
 
 def level(n: int) -> list[Word]:

@@ -1,18 +1,23 @@
-"""Trajectory devices of the paper that the tests check the library against.
+"""Devices of the paper that the tests check the library against.
 
 The paper proves its up-value sums through good up-value sequences, their
 bijection with trajectories, reversal of a trajectory and pseudo-trajectories
-(walks that may dip below zero).  The library computes no answer through any
-of them, so they live here, beside the tests that use them, and are built
-independently of ``yfpaths.trajectories`` where that makes a check stronger.
+(walks that may dip below zero).  It writes the closed form of f as a sum of
+f_base over start words (``start1``, ``start2``), one ``Fraction`` summand
+each (``f_explicit_terms``).  The library computes no answer through any of
+them: ``functions.f_explicit`` sums the same summands as small-integer ratios
+over the g values of x.  So they live here, beside the tests that use them,
+and are built independently of the library where that makes a check stronger.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
+from yfpaths.functions import _validate_key, f_base, g_values
 from yfpaths.trajectories import Trajectory
-from yfpaths.words import Word
+from yfpaths.words import EPSILON, Word, suffix_split
 
 GoodSequence = tuple[int, ...]
 
@@ -111,3 +116,77 @@ def trajectory_from_sequence(X: int, Y: int, S: int, lam: GoodSequence) -> Traje
         cur -= 1
         values.append(cur)
     return Trajectory(tuple(values))
+
+
+def suffix_sum(x: Word, a: int) -> int:
+    """Sum of the last ``a`` digits."""
+    if not 0 <= a <= x.digit_count:
+        raise ValueError(f"suffix length {a} out of range for {x}")
+    return sum(x.digits[x.digit_count - a:])
+
+
+def start1(x: Word, a: int) -> Word:
+    """First start function: the word roughly "left of digit-sum a from the right".
+
+    With x = x'1x'' and digit-sum(x'') = a the value is x'1; with x = x'2x''
+    it is x'11; when a is not a suffix digit-sum it splits a 2 (a-1 is one,
+    followed by a 2) and the value is x'1.  At a = rank(x) the value is the
+    empty word.  The cases are read off one :func:`suffix_split`, so exactly
+    one applies.
+    """
+    if not 0 <= a <= x.rank:
+        raise ValueError(f"start1 argument {a} out of range for {x}")
+    digits = x.digits
+    i, s = suffix_split(digits, a)
+    if s > a:  # x = x'2x'' with the 2 straddling a
+        return Word(digits[:i] + (1,))
+    if i == 0:
+        return EPSILON
+    if digits[i - 1] == 1:
+        return Word(digits[:i])
+    return Word(digits[: i - 1] + (1, 1))
+
+
+def start2(x: Word, a: int) -> Word | None:
+    """Second start function: the prefix left of a suffix of digit-sum ``a``.
+
+    Returns None when ``a`` is not a suffix digit-sum of ``x``.
+    """
+    if not 0 <= a <= x.rank:
+        raise ValueError(f"start2 argument {a} out of range for {x}")
+    i, s = suffix_split(x.digits, a)
+    return Word(x.digits[:i]) if s == a else None
+
+
+def f_explicit_terms(x: Word, y: int, z: int) -> list[Fraction]:
+    """The materialized summands of the closed form for f(x, y, z).
+
+    Let c = suffix_sum(x, z).  For c <= y - 1 the unrolling ends on a
+    start2 term:
+
+        sum_{i=0}^{c-1} f_base(start1(x, i), y - i) / D(i)
+          + f_base(start2(x, c), y - c) / D'(c)
+
+    where D(i) multiplies (g(x, j) - y) over all j with g(x, j) - 1 <= i and
+    D'(c) over all j with g(x, j) - 1 < c.  So D is one running product, which
+    takes in (i + 1 - y) at each i where i + 1 is a g value of x, and D'(c)
+    is D(c - 1), the loop's last divisor (1 when c = 0).  For c >= y the
+    second coordinate bottoms out first and the sum stops at i = y - 2 with
+    no closing term.  There are at most 1 + min(c, y - 1) summands.
+    """
+    _validate_key(x, y, z)
+    if y == 0:
+        return [f_base(x, 0)]
+    c = suffix_sum(x, z)
+    gs = set(g_values(x))
+    terms = []
+    den = 1
+    for i in range(min(c, y - 1)):
+        if i + 1 in gs:
+            den *= i + 1 - y  # i + 1 <= y - 1, so never 0
+        terms.append(f_base(start1(x, i), y - i) / den)
+    if c <= y - 1:
+        prefix = start2(x, c)
+        assert prefix is not None  # c is a suffix digit-sum by construction
+        terms.append(f_base(prefix, y - c) / den)
+    return terms

@@ -8,14 +8,16 @@ are exact equalities of integers or rationals; there are no tolerances.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from reference import (
     concat,
     enumerate_good_sequences,
+    f_explicit_terms,
     reverse,
+    suffix_sum,
     trajectory_from_sequence,
     up_multiset,
 )
@@ -29,11 +31,7 @@ from yfpaths.counts import (
     xi,
     xi_zero,
 )
-from yfpaths.functions import (
-    InconsistencyError,
-    f_explicit_terms,
-    f_rec,
-)
+from yfpaths.functions import InconsistencyError, f_base, f_explicit, f_rec, g_values
 from yfpaths.invariants import run_invariant_suites, words_up_to_digits
 from yfpaths.oracle import (
     brute_count_down,
@@ -48,7 +46,6 @@ from yfpaths.words import (
     parse_word,
     predecessors,
     successors,
-    suffix_sum,
 )
 
 from test_functions import BASE_21221, TABLES
@@ -87,11 +84,12 @@ def test_criterion_01_f_table_reproduction():
 def test_criterion_02_explicit_formula_equivalence():
     with criterion(2, "explicit = recursive", budget=10.0) as tally:
         for x in words_up_to_digits(8):
+            gs = g_values(x)
             for y in range(x.rank + 1):
                 for z in range(x.digit_count + 1):
                     terms = f_explicit_terms(x, y, z)
                     total = sum(terms, Fraction(0))
-                    assert total == f_rec(x, y, z), f"mismatch at ({x}, {y}, {z})"
+                    assert total == f_rec(x, y, z) == f_explicit(x, y, z), f"mismatch at ({x}, {y}, {z})"
                     tally["checks"] += 1
                     if y >= 1:
                         p = suffix_sum(x, z)
@@ -101,6 +99,14 @@ def test_criterion_02_explicit_formula_equivalence():
                         assert len(terms) <= 1 + min(p, y - 1)
                         if p != y - 1:
                             assert len(terms) <= 1 + min(p, y - 2)
+                        # f_explicit's identity, summand by summand: summand
+                        # i is f_base(x, y) (-1)^i y (y-1) ... (y-i+1) over
+                        # the (y - g)^2 of the g values up to min(i + 1, p)
+                        base, fall = f_base(x, y), 1
+                        for i, term in enumerate(terms):
+                            den = prod((y - g) ** 2 for g in gs if g <= min(i + 1, p))
+                            assert term == base * fall / den, f"summand {i} at ({x}, {y}, {z})"
+                            fall *= i - y
 
 
 def test_criterion_02b_boundary_term_is_load_bearing():

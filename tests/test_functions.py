@@ -5,10 +5,10 @@ from math import comb, factorial, prod
 from hypothesis import given, strategies as st
 import pytest
 
+from reference import f_explicit_terms, suffix_sum
 from yfpaths.functions import (
     f_base,
     f_explicit,
-    f_explicit_terms,
     f_rec,
     g_product,
     g_values,
@@ -16,7 +16,7 @@ from yfpaths.functions import (
     weight_row,
 )
 from yfpaths.invariants import words_up_to_digits
-from yfpaths.words import EPSILON, Word, common_suffix_len, level, parse_word, suffix_sum
+from yfpaths.words import EPSILON, Word, common_suffix_len, level, parse_word
 
 F = Fraction
 words = st.builds(Word, st.lists(st.sampled_from([1, 2]), max_size=7).map(tuple))
@@ -192,6 +192,36 @@ def test_explicit_boundary_needs_closing_term():
     assert f_rec(x, 2, 1) == F(-1, 2)
 
 
+def test_explicit_is_built_apart(monkeypatch):
+    # the closed form reads f_base and the g values only: it builds no word
+    # (no start word) and reaches no part of the recursion it checks
+    import yfpaths.functions as functions
+
+    keys = [
+        (x, y, z)
+        for x in words_up_to_digits(6)
+        for y in range(x.rank + 1)
+        for z in range(x.digit_count + 1)
+    ]
+    keys.append((Word((1,) * 2000), 1999, 2000))
+    expected = [f_rec(*key) for key in keys]
+    built = []
+    validate = Word.__init__
+
+    def counted(word, digits=()):
+        built.append(digits)
+        validate(word, digits)
+
+    def unreachable(*args):
+        raise AssertionError("the closed form reached the recursion")
+
+    monkeypatch.setattr(Word, "__init__", counted)
+    for name in ("f_rec", "_f_rec", "_lagrange_walk", "_walk", "weight_row"):
+        monkeypatch.setattr(functions, name, unreachable)
+    assert [f_explicit(*key) for key in keys] == expected
+    assert built == []
+
+
 def test_weight_examples():
     for y in (w("22"), w("1212"), w("111")):
         assert weight(EPSILON, y, 0) == g_product(y, 0)
@@ -321,6 +351,11 @@ _RANK_300 = Word(_random_word(random.Random(300), 300))
         (Word((2,) * 9), 12, 7),
         (Word((2,) * 1000), 900, 300),
         (_RANK_300, suffix_sum(_RANK_300, 120), 70),
+        # the rank cap of yf f: the most closed-form summands, half of them,
+        # and a walk through 2s that stops at z
+        (Word((1,) * 10000), 9999, 10000),
+        (Word((1,) * 10000), 5000, 10000),
+        (Word((2,) * 5000), 6000, 2500),
     ],
 )
 def test_deep_chain_matches_explicit(x, y, z):

@@ -6,7 +6,9 @@ from itertools import product
 from hypothesis import given, strategies as st
 import pytest
 
-from reference import concat
+from reference import concat, start1, start2, suffix_sum
+from yfpaths.functions import f_rec
+from yfpaths.oracle import brute_count_down
 from yfpaths.trajectories import Trajectory
 from yfpaths.words import (
     EPSILON,
@@ -15,10 +17,7 @@ from yfpaths.words import (
     level,
     parse_word,
     predecessors,
-    start1,
-    start2,
     successors,
-    suffix_sum,
     tuples_below,
 )
 
@@ -77,6 +76,17 @@ def test_words_and_trajectories_are_immutable_values(cls, field, value, other, t
     assert not hasattr(a, "__dict__")
     assert str(a) == text and repr(a) == shown
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+@pytest.mark.parametrize("cls, field, value", [(Word, "digits", [2, 1]), (Trajectory, "values", [3, 2, 1])])
+def test_words_and_trajectories_built_from_lists_keep_tuples(cls, field, value):
+    a, b = cls(value), cls(tuple(value))
+    value.append(1)  # the caller's list changes, the value built from it does not
+    assert a == b and hash(a) == hash(b) and {a: "a"}[b] == "a"
+    assert getattr(a, field) == getattr(b, field) and type(getattr(a, field)) is tuple
+    if cls is Word:
+        assert f_rec(a, 2, 1) == f_rec(b, 2, 1)
+        assert brute_count_down(Word([1]), a) == brute_count_down(Word((1,)), b) == 2
 
 
 @pytest.mark.parametrize(
