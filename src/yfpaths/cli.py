@@ -5,7 +5,7 @@ Grammar::
     yf down X Y [--verify] [--json]            (rank X <= 1000, rank Y <= 3000)
     yf traj X Y DELTA [--verify] [--json]      (the same; <= 5000 steps, 1000 up, values <= 4000)
     yf spaths X Y S [--verify] [--json]        (rank X <= 100, rank Y <= 3000, S <= 20000)
-    yf f X Y Z [--verify] [--json]             (rank X <= 10000, 1000 with --verify; Y, Z <= 10000)
+    yf f X Y Z [--verify] [--json]             (rank X, Y, Z <= 10000)
     yf xi X Y S I [--verify] [--json]          (I <= X <= Y <= 10000, S <= 20000)
     yf level N [--json]                        (N <= 24)
     yf dot N [--json]                          (N <= 20)
@@ -273,9 +273,9 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # takes up to ~0.11 s at rank(x) 10000 and ~0.4 s at 20000.  The closed form
 # that ``--verify`` adds is one pass over the g values of x: 1 ms at rank(x)
 # 1000, 3 ms at 2000 and ~0.08 s at 10000, so ``yf f 1^N N-1 N --verify``
-# takes ~66 ms of wall time at N = 1000 and 2000 and ~0.26 s at 10000 (with
-# the cap lifted).  The oracle bounds its own work (``oracle.WORK_CAP``), so
-# ``--verify`` adds a cap only to ``f``.
+# takes ~66 ms of wall time at N = 1000 and 2000 and ~0.28 s at 10000, and
+# ``yf f 2^5000 10000 5000 --verify`` ~0.2 s.  The oracle bounds its own work
+# (``oracle.WORK_CAP``), so ``--verify`` adds no cap.
 # Each ``verify`` rank costs up to ~2.2 times the one below, and each S past 3
 # up to ~1.2 times: (10, 5) takes ~2 s.
 LEVEL_RANK_CAP = 24
@@ -287,7 +287,6 @@ UP_STEP_CAP = 1000
 STEP_CAP = RANK_Y_CAP + 2 * UP_STEP_CAP  # descend from rank(y), and down again after each up-step
 SPATHS_RANK_CAP = 100
 F_RANK_CAP = 10_000
-F_VERIFY_RANK_CAP = 1000
 XI_Y_CAP = 10_000
 VERIFY_RANK_CAP = 10
 VERIFY_S_CAP = 5
@@ -337,8 +336,6 @@ def _f(a) -> tuple[object, Thunk]:
     # the library takes Y <= rank(x) and Z <= digits(x), within the same cap
     y = _int_arg(a.y, "Y", F_RANK_CAP)
     z = _int_arg(a.z, "Z", F_RANK_CAP)
-    if a.verify:
-        _at_most("rank(x) with --verify", x.rank, F_VERIFY_RANK_CAP)
     return f_rec(x, y, z), lambda: f_explicit(x, y, z)
 
 
@@ -404,7 +401,7 @@ COMMANDS = {
         "evaluate the lower weight function",
         _f,
         (
-            ("x", f"word, of rank at most {F_RANK_CAP} ({F_VERIFY_RANK_CAP} with --verify)"),
+            ("x", f"word, of rank at most {F_RANK_CAP}"),
             ("y", "second argument, 0..rank"),
             ("z", "third argument, 0..digits"),
         ),

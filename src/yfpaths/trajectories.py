@@ -6,12 +6,15 @@ the heights reached by each up-step; the trajectory-path count depends on
 the trajectory only through them.  :func:`enumerate_trajectories` lists
 every trajectory of given endpoints and up-step count, for the ``verify``
 sweeps and the tests.  :class:`Trajectory`, like ``words.Word``, is a
-hand-written ``__slots__`` class, so importing it costs no ``inspect``.
+hand-written ``__slots__`` class on ``words.FrozenValue``, so importing it
+costs no ``inspect``.
 """
 
 from __future__ import annotations
 
-from operator import sub
+from operator import index, sub
+
+from .words import FrozenValue
 
 ENUMERATION_CAP = 10_000_000  # most walks one enumeration may return
 
@@ -20,7 +23,7 @@ class EnumerationCapExceeded(RuntimeError):
     """An enumeration grew past the configured size cap."""
 
 
-class Trajectory:
+class Trajectory(FrozenValue):
     """Unit-step walk over the nonnegative integers; ``values[0]`` is the start.
 
     Immutable; trajectories compare and hash by their values, never equal to
@@ -30,37 +33,19 @@ class Trajectory:
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
-        values = tuple(values)  # a tuple is kept as it is, a list copied
+        try:
+            values = tuple(map(index, values))  # a new tuple of plain ints (True as 1)
+        except TypeError:  # a float, a str, or an int in place of the sequence
+            raise ValueError(f"trajectory values must be integers, got {values!r}") from None
         if not values:
             raise ValueError("a trajectory needs a starting value")
-        for i in range(1, len(values)):
-            if abs(values[i] - values[i - 1]) != 1:
-                raise ValueError(
-                    f"step {i} is {values[i] - values[i - 1]}, must be +1 or -1"
-                )
-        for i, v in enumerate(values):
-            if v < 0:
-                raise ValueError(f"value {v} at position {i} is negative")
+        if not set(map(sub, values[1:], values)) <= {-1, 1}:
+            i = next(i for i in range(1, len(values)) if abs(values[i] - values[i - 1]) != 1)
+            raise ValueError(f"step {i} is {values[i] - values[i - 1]}, must be +1 or -1")
+        if min(values) < 0:
+            i = next(i for i, v in enumerate(values) if v < 0)
+            raise ValueError(f"value {values[i]} at position {i} is negative")
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__; the default sets the slot
-        # through __setattr__, which refuses
-        return Trajectory, (self.values,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
 
     @property
     def length(self) -> int:
@@ -105,32 +90,6 @@ def parse_trajectory(text: str) -> Trajectory:
     return Trajectory(values)
 
 
-def _walks(start: int, end: int, ups: int):
-    """All walks start -> end over the nonnegative integers with exactly `ups`
-    up-steps, down first."""
-    length = start - end + 2 * ups
-    out = []
-    stack = [((start,), ups)]  # walk so far, up-steps it still has to take
-    while stack:
-        values, ups_left = stack.pop()
-        steps_left = length - (len(values) - 1)
-        if steps_left == 0:
-            out.append(values)
-            if len(out) > ENUMERATION_CAP:
-                raise EnumerationCapExceeded(
-                    f"more than {ENUMERATION_CAP} walks from {start} to {end} "
-                    f"with {ups} up-steps"
-                )
-            continue
-        cur = values[-1]
-        # the up-step is pushed first, so that the down-step is explored first
-        if ups_left >= 1:
-            stack.append((values + (cur + 1,), ups_left - 1))
-        if steps_left - ups_left >= 1 and cur >= 1:
-            stack.append((values + (cur - 1,), ups_left))
-    return out
-
-
 def enumerate_trajectories(X: int, Y: int, S: int) -> list[Trajectory]:
     """All trajectories from Y down to X with exactly S up-steps.
 
@@ -142,4 +101,25 @@ def enumerate_trajectories(X: int, Y: int, S: int) -> list[Trajectory]:
         raise ValueError(f"need Y >= X, got X={X}, Y={Y}")
     if min(X, Y, S) < 0:
         raise ValueError("X, Y, S must be nonnegative")
-    return [Trajectory(v) for v in _walks(Y, X, S)]
+    length = Y - X + 2 * S
+    out = []
+    # one walk, cut back to each popped node's depth (steps taken); a node
+    # also holds its height and the up-steps it still has to take
+    path: list[int] = []
+    stack = [(Y, S, 0)]
+    while stack:
+        h, ups_left, depth = stack.pop()
+        del path[depth:]
+        if not ups_left:  # only down-steps are left, straight to X
+            out.append(Trajectory((*path, *range(h, X - 1, -1))))
+            if len(out) > ENUMERATION_CAP:
+                raise EnumerationCapExceeded(
+                    f"more than {ENUMERATION_CAP} walks from {Y} to {X} with {S} up-steps"
+                )
+            continue
+        path.append(h)
+        # the up-step is pushed first, so that the down-step is explored first
+        stack.append((h + 1, ups_left - 1, depth + 1))
+        if length - depth - ups_left >= 1 and h >= 1:
+            stack.append((h - 1, ups_left, depth + 1))
+    return out

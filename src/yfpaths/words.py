@@ -13,27 +13,24 @@ exact counting formulas built on top: :func:`common_suffix_len`, and
 
 :class:`Word` is a hand-written ``__slots__`` class, so importing it costs
 no ``inspect`` (with its ``ast``, ``dis`` and ``tokenize``), which a
-generated class would import and a ``yf`` point query has no use for.
+generated class would import and a ``yf`` point query has no use for; its
+value methods come from :class:`FrozenValue`, which ``trajectories.Trajectory``
+shares.
 """
 
 from __future__ import annotations
 
 EMPTY_WORD_TEXTS = ("e", "eps")
+_DIGIT_BYTES = bytes.maketrans(b"12", b"\1\2")  # the text's digits as byte values
 
 
-class Word:
-    """Immutable digit string over {1, 2}; ``digits[0]`` is the leftmost digit.
+class FrozenValue:
+    """An immutable value held in one tuple slot, the only name in the
+    subclass's ``__slots__``: it compares and hashes by that tuple, is never
+    equal to another type, and pickle and copy rebuild it through
+    ``__init__``."""
 
-    Words compare and hash by their digits, never equal to another type.
-    """
-
-    __slots__ = ("digits",)
-
-    def __init__(self, digits: tuple[int, ...] = ()) -> None:
-        digits = tuple(digits)  # a tuple is kept as it is, a list copied
-        if digits.count(1) + digits.count(2) != len(digits):
-            raise ValueError(f"word digits must be 1 or 2, got {digits!r}")
-        object.__setattr__(self, "digits", digits)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -41,18 +38,41 @@ class Word:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _value(self) -> tuple:
+        return getattr(self, self.__slots__[0])
+
     def __reduce__(self):
-        # pickle and copy rebuild through __init__; the default sets the slot
-        # through __setattr__, which refuses
-        return Word, (self.digits,)
+        # the default sets the slot through __setattr__, which refuses
+        return self.__class__, (self._value(),)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.digits == other.digits
+        return self._value() == other._value()
 
     def __hash__(self) -> int:
-        return hash(self.digits)
+        return hash(self._value())
+
+
+class Word(FrozenValue):
+    """Immutable digit string over {1, 2}; ``digits[0]`` is the leftmost digit.
+
+    Words compare and hash by their digits, never equal to another type.
+    """
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: tuple[int, ...] | bytes = ()) -> None:
+        try:
+            # integers 0..255 only, read as plain ints (True as 1): a float,
+            # a str, or an int in place of the sequence fails
+            ints = bytes(digits)
+            valid = len(ints) == len(digits) and not ints.strip(b"\1\2")
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ValueError(f"word digits must be 1 or 2, got {digits!r}")
+        object.__setattr__(self, "digits", tuple(ints))  # a new tuple of plain ints
 
     @property
     def rank(self) -> int:
@@ -85,7 +105,7 @@ def parse_word(text: str) -> Word:
         raise ValueError('empty word must be written "e"')
     if not set(text) <= {"1", "2"}:
         raise ValueError(f"invalid word {text!r}: digits must be 1 or 2")
-    return Word(tuple(int(ch) for ch in text))
+    return Word(text.encode().translate(_DIGIT_BYTES))
 
 
 def tuples_below(digits: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -139,9 +159,10 @@ def level(n: int) -> list[Word]:
     if n < 0:
         raise ValueError("rank must be nonnegative")
     # level k is 1 before each word of level k - 1, then 2 before each word
-    # of level k - 2; start from levels -1 (empty) and 0
-    below: list[tuple[int, ...]] = []
-    here: list[tuple[int, ...]] = [()]
+    # of level k - 2; start from levels -1 (empty) and 0, the digits kept
+    # as bytes, which join cheaper than tuples
+    below: list[bytes] = []
+    here = [b""]
     for _ in range(n):
-        below, here = here, [(1,) + t for t in here] + [(2,) + t for t in below]
+        below, here = here, [b"\1" + t for t in here] + [b"\2" + t for t in below]
     return [Word(t) for t in here]

@@ -449,60 +449,75 @@ def _no_suffix_sum_one(n):
     return "1" * (n - 2) + "2"
 
 
+# (command, count, args of a given size, what is capped, cap) of each cap on
+# the words, trajectories and f keys of a point query
+_CAP_CASES = [
+    ("down", "count_down", lambda n: ("1" * n, "e"), "rank(x)", cli.RANK_CAP),
+    ("down", "count_down", lambda n: ("e", "1" * n), "rank(y)", cli.RANK_Y_CAP),
+    (
+        "traj",
+        "count_trajectory",
+        lambda n: ("1" * n, "e", "0"),
+        "rank(x)",
+        cli.RANK_CAP,
+    ),
+    (
+        "traj",
+        "count_trajectory",
+        lambda n: ("e", "1" * n, _down_to(n)),
+        "rank(y)",
+        cli.RANK_Y_CAP,
+    ),
+    (
+        "traj",
+        "count_trajectory",
+        lambda n: ("e", "e", _up_steps(n)),
+        "up-steps",
+        cli.UP_STEP_CAP,
+    ),
+    (
+        "traj",
+        "count_trajectory",
+        lambda n: ("e", "1" * cli.RANK_Y_CAP, _steps(n)),
+        "trajectory steps",
+        cli.STEP_CAP,
+    ),
+    (
+        "spaths",
+        "count_s_paths",
+        lambda n: ("1" * n, "e", "1"),
+        "rank(x)",
+        cli.SPATHS_RANK_CAP,
+    ),
+    (
+        "spaths",
+        "count_s_paths",
+        lambda n: ("e", "1" * n, "1"),
+        "rank(y)",
+        cli.RANK_Y_CAP,
+    ),
+    ("f", "f_rec", lambda n: ("1" * n, "0", "0"), "rank(x)", cli.F_RANK_CAP),
+]
+
+
+def _far(what, cap):
+    # 10 * UP_STEP_CAP up-steps would take more than STEP_CAP steps, so the
+    # far case of the up-step cap is the most up-steps that STEP_CAP steps hold
+    return cli.STEP_CAP // 2 if what == "up-steps" else 10 * cap
+
+
 @pytest.mark.parametrize(
     "command, name, args, what, cap",
     [
-        ("down", "count_down", lambda n: ("1" * n, "e"), "rank(x)", cli.RANK_CAP),
-        ("down", "count_down", lambda n: ("e", "1" * n), "rank(y)", cli.RANK_Y_CAP),
-        (
-            "traj",
-            "count_trajectory",
-            lambda n: ("1" * n, "e", "0"),
-            "rank(x)",
-            cli.RANK_CAP,
-        ),
-        (
-            "traj",
-            "count_trajectory",
-            lambda n: ("e", "1" * n, _down_to(n)),
-            "rank(y)",
-            cli.RANK_Y_CAP,
-        ),
-        (
-            "traj",
-            "count_trajectory",
-            lambda n: ("e", "e", _up_steps(n)),
-            "up-steps",
-            cli.UP_STEP_CAP,
-        ),
-        (
-            "traj",
-            "count_trajectory",
-            lambda n: ("e", "1" * cli.RANK_Y_CAP, _steps(n)),
-            "trajectory steps",
-            cli.STEP_CAP,
-        ),
-        (
-            "spaths",
-            "count_s_paths",
-            lambda n: ("1" * n, "e", "1"),
-            "rank(x)",
-            cli.SPATHS_RANK_CAP,
-        ),
-        (
-            "spaths",
-            "count_s_paths",
-            lambda n: ("e", "1" * n, "1"),
-            "rank(y)",
-            cli.RANK_Y_CAP,
-        ),
-        ("f", "f_rec", lambda n: ("1" * n, "0", "0"), "rank(x)", cli.F_RANK_CAP),
-        (
+        *_CAP_CASES,
+        # the closed form that --verify adds checks f(x, 1, 0) = 0 at the cap
+        pytest.param(
             "f",
             "f_rec",
             lambda n: (_no_suffix_sum_one(n), "1", "0", "--verify"),
-            "rank(x) with --verify",
-            cli.F_VERIFY_RANK_CAP,
+            "rank(x)",
+            cli.F_RANK_CAP,
+            id="f-f_rec-<lambda>-rank(x)-10000-verify",
         ),
     ],
 )
@@ -515,18 +530,53 @@ def test_query_size_caps(capsys, monkeypatch, command, name, args, what, cap):
 
     # the counts are called through the module, f_rec by its name in cli
     monkeypatch.setattr(cli if command == "f" else cli.counts, name, fake_count)
-    # past the cap: one error line, and nothing is counted; 10 * UP_STEP_CAP
-    # up-steps would take more than STEP_CAP steps, so the far case of the
-    # up-step cap is the most up-steps that STEP_CAP steps hold
-    far = cli.STEP_CAP // 2 if what == "up-steps" else 10 * cap
-    for n in (cap + 1, far):
+    # past the cap: one error line, and nothing is counted
+    for n in (cap + 1, _far(what, cap)):
         code, out, err = run(capsys, command, *args(n))
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"yf: error: {what} must be at most {cap}, got {n}"]
     assert asked == []
-    assert run(capsys, command, *args(cap))[0] == 0
+    code, out, _ = run(capsys, command, *args(cap))
+    assert code == 0
     assert len(asked) == 1
+    if "--verify" in args(cap):
+        assert out.splitlines() == ["0", "oracle: 0 (agree)"]
+
+
+# The oracle of each command that takes --verify, by its name in its module
+_ORACLES = {
+    "down": (oracle, "brute_count_down"),
+    "traj": (oracle, "brute_count_trajectory"),
+    "spaths": (oracle, "brute_count_s"),
+    "f": (cli, "f_explicit"),
+    "xi": (oracle, "brute_xi"),
+}
+
+# The caps on S and on the endpoints of xi, which their own tests cover above
+_MORE_CAP_CASES = [
+    ("spaths", "count_s_paths", lambda n: ("e", "1", str(n)), "S", cli.S_CAP),
+    ("xi", "xi", lambda n: ("0", "0", str(n), "0"), "S", cli.S_CAP),
+    ("xi", "xi", lambda n: (str(n), str(cli.XI_Y_CAP), "0", "0"), "X", cli.XI_Y_CAP),
+    ("xi", "xi", lambda n: ("0", str(n), "0", "0"), "Y", cli.XI_Y_CAP),
+    ("xi", "xi", lambda n: (str(cli.XI_Y_CAP), str(cli.XI_Y_CAP), "0", str(n)), "I", cli.XI_Y_CAP),
+]
+
+
+@pytest.mark.parametrize("command, name, args, what, cap", [*_CAP_CASES, *_MORE_CAP_CASES])
+def test_verify_never_narrows_a_command(capsys, monkeypatch, command, name, args, what, cap):
+    # --verify adds the oracle's work, never a cap of its own: with the count
+    # and the oracle faked alike, every size answers or fails the same way
+    # with and without it
+    assert set(_ORACLES) == {cmd for cmd, c in cli.COMMANDS.items() if c.verify}
+    monkeypatch.setattr(cli if command == "f" else cli.counts, name, lambda *a: 0)
+    monkeypatch.setattr(*_ORACLES[command], lambda *a: 0)
+    for n in (cap, cap + 1, _far(what, cap)):
+        code, _, err = run(capsys, command, *args(n))
+        assert run(capsys, command, *args(n), "--verify")[::2] == (code, err)
+        assert (code, err.splitlines()) == (
+            (0, []) if n == cap else (1, [f"yf: error: {what} must be at most {cap}, got {n}"])
+        )
 
 
 @pytest.mark.parametrize(

@@ -97,11 +97,32 @@ def test_words_and_trajectories_built_from_lists_keep_tuples(cls, field, value):
         (lambda: Trajectory(()), "a trajectory needs a starting value"),
         (lambda: Trajectory((2, 0)), "step 1 is -2, must be +1 or -1"),
         (lambda: Trajectory((1, 0, -1)), "value -1 at position 2 is negative"),
+        # digits and values that are not integers, which counts would carry
+        # into floats or trip on deep inside the library
+        (lambda: Word((2.0, 1)), "word digits must be 1 or 2, got (2.0, 1)"),
+        (lambda: Word((1.0,)), "word digits must be 1 or 2, got (1.0,)"),
+        (lambda: Word((1.0, 2)), "word digits must be 1 or 2, got (1.0, 2)"),
+        (lambda: Word("12"), "word digits must be 1 or 2, got '12'"),
+        (lambda: Word(0), "word digits must be 1 or 2, got 0"),
+        (
+            lambda: Trajectory((3, 2, 3.0, 2, 1, 0)),
+            "trajectory values must be integers, got (3, 2, 3.0, 2, 1, 0)",
+        ),
+        (lambda: Trajectory("32"), "trajectory values must be integers, got '32'"),
     ],
 )
 def test_invalid_digits_and_steps_raise_the_same_errors(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_digits_and_values_are_plain_ints():
+    # a True is stored as 1, so counts stay ints and words print as digits
+    word, trajectory = Word((True, 2)), Trajectory((3, 2, True, 2, 1, 0))
+    assert str(word) == "12" and word == Word((1, 2))
+    assert str(trajectory) == "3,2,1,2,1,0"
+    assert {type(v) for v in word.digits + trajectory.values} == {int}
+    assert type(brute_count_down(Word((1,)), word)) is int
 
 
 @given(words)
