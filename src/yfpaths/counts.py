@@ -12,17 +12,19 @@ The trajectory dependence enters only through alternating sums over
 up-values, which collapse to the closed-form ``xi`` values built from
 binomials and odd double factorials.  Successive terms of such a sum differ
 by a ratio of a few small integers, so each ``xi`` is its k = 0 term,
-C(Y + 2S, Y) * (2S - 1)!!, times one fraction of small-integer products;
-``count_s_paths`` builds that term once per query and steps it from shift
-to shift by the same kind of ratio.  Every divide is checked to be exact, and
-every result to be a nonnegative integer before it is returned.
+C(Y + 2S, Y) * (2S - 1)!!, times one fraction of small-integer products.
+``xi`` and ``count_s_paths`` share that one evaluator: ``count_s_paths``
+builds the k = 0 term of shift 0 once per query, and at each shift whose
+weight is nonzero hands it over with the ratio perm(Y, i) / perm(Y + 2S, i)
+to the shifted one.  Every divide is checked to be exact, and every result to
+be a nonnegative integer before it is returned.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from math import comb, factorial, perm, prod
+from math import comb, factorial, gcd, perm, prod
 
 from .functions import InconsistencyError, g_values, weight_row
 from .trajectories import Trajectory
@@ -69,7 +71,7 @@ def _weighted_count(
     order is checked first, and only then is the factor i -> c_i built, by
     ``factors()``.  The sum runs over the integer row rank(x)! * weight and
     is divided by rank(x)! once, at the end; the factor is called only where
-    the weight is nonzero.
+    the weight is nonzero, so ``count_s_paths`` evaluates xi only there.
     """
     if y.rank < x.rank:
         raise ValueError(f"{what.format(*args)} needs rank({y}) >= rank({x})")
@@ -125,22 +127,25 @@ def xi_zero(Y: int, S: int) -> int:
     return comb(Y + 2 * S, Y) * odd_double_factorial(2 * S - 1)
 
 
-def _xi_from_head(X: int, Y: int, S: int, head: int) -> int:
-    """xi(X, Y, S, 0) for Y >= X >= 0, given its k = 0 term ``head`` =
-    xi_zero(Y, S).
+def _xi_from_head(X: int, Y: int, S: int, head: int, num: int = 1, den: int = 1) -> int:
+    """xi(X, Y, S, 0) for Y >= X >= 0, given its k = 0 term xi_zero(Y, S) as
+    head * num / den.
 
     The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
     k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
-    (k (N + Y + 1)(N + Y + 2)) with N = 2(S - k).  So the sum is head times
-    1 + r_1 (1 + r_2 (1 + ...)), evaluated from the last k as one fraction
-    p / q of small-integer products; one exact divide finishes it.
+    (k (N + Y + 1)(N + Y + 2)) with N = 2(S - k).  So the sum is the k = 0 term
+    times 1 + r_1 (1 + r_2 (1 + ...)), evaluated from the last k as one
+    fraction p / q of small-integer products.  That fraction times num / den
+    is reduced by its gcd, and one exact divide of head times it finishes it.
     """
     p = q = 1
     for k in range(min(X // 2, S), 0, -1):
         n = 2 * (S - k) + Y
         b = k * (n + 1) * (n + 2)
         p, q = b * q - (X - 2 * k + 2) * (X - 2 * k + 1) * (S - k + 1) * p, b * q
-    return _exact(head * p, q, "xi({}, {}, {}, 0)", X, Y, S)
+    p, q = p * num, q * den
+    g = gcd(p, q)
+    return _exact(head * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S)
 
 
 def xi(X: int, Y: int, S: int, i: int = 0) -> int:
@@ -156,27 +161,18 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
     return _xi_from_head(X - i, Y - i, S, xi_zero(Y - i, S))
 
 
-def _xi_row(X: int, Y: int, S: int) -> list[int]:
-    """[xi(X, Y, S, i) for i in 0..X] from one closed k = 0 term.
-
-    The k = 0 term of shift i is xi_zero(Y - i, S) = C(Y - i + 2S, Y - i) *
-    (2S - 1)!!; the next shift's is it times (Y - i) / (Y - i + 2S).
-    """
-    head = xi_zero(Y, S)
-    row = [_xi_from_head(X, Y, S, head)]
-    for i in range(1, X + 1):
-        head = _exact(head * (Y - i + 1), Y - i + 1 + 2 * S, "xi_zero({}, {})", Y - i, S)
-        row.append(_xi_from_head(X - i, Y - i, S, head))
-    return row
-
-
 def count_s_paths(x: Word, y: Word, S: int) -> int:
     """Number of paths from y to x with exactly S up-steps."""
     if S < 0:
         raise ValueError("S must be nonnegative")
-    return _weighted_count(
-        x, y, lambda: _xi_row(x.rank, y.rank, S).__getitem__, "count_s_paths({}, {}, {})", x, y, S
-    )
+    X, Y = x.rank, y.rank
+
+    def factors() -> Callable[[int], int]:
+        # xi_zero(Y - i, S) = xi_zero(Y, S) * perm(Y, i) / perm(Y + 2S, i)
+        head = xi_zero(Y, S)
+        return lambda i: _xi_from_head(X - i, Y - i, S, head, perm(Y, i), perm(Y + 2 * S, i))
+
+    return _weighted_count(x, y, factors, "count_s_paths({}, {}, {})", x, y, S)
 
 
 def count_s_paths_from_top(x: Word, S: int) -> int:

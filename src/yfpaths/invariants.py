@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .functions import f_base, f_rec, g_product, g_values
@@ -132,11 +132,8 @@ def check_equal_rank_symmetry(max_digits: int) -> Outcomes:
 def check_hook_factorial(max_digits: int) -> Outcomes:
     """The product of the g values times the suffix partial-sum product is rank!."""
     for x in words_up_to_digits(max_digits):
-        product_g = 1
-        for g in g_values(x):
-            product_g *= g
         # f_base(x, 0) is the reciprocal of the right-to-left partial-sum product
-        holds = product_g == factorial(x.rank) * f_base(x, 0)
+        holds = prod(g_values(x)) == factorial(x.rank) * f_base(x, 0)
         yield holds or f"hook-factorial at {x}"
 
 

@@ -82,11 +82,14 @@ class Trajectory(FrozenValue):
 
 
 def parse_trajectory(text: str) -> Trajectory:
-    """Parse the CLI text form: comma-separated integers, e.g. "3,2,1,2"."""
+    """Parse comma-separated integers, e.g. "3,2,1,2", into a trajectory.  The
+    CLI does not use it: it reads each value itself, against its cap."""
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"invalid trajectory {text!r}: expected comma-separated integers")
+        raise ValueError(
+            f"invalid trajectory {text!r}: expected comma-separated integers"
+        ) from None
     return Trajectory(values)
 
 

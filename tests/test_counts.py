@@ -9,7 +9,6 @@ from reference import reverse, trajectory_from_sequence
 from yfpaths import counts
 from yfpaths.counts import (
     _as_count,
-    _xi_row,
     count_down,
     count_down_from_top,
     count_s_paths,
@@ -318,6 +317,17 @@ def _xi_reference_row(X, Y, S):
     ]
 
 
+def _xi_factor(X, Y, S):
+    """The factor i -> xi(X, Y, S, i) that count_s_paths builds for words of
+    ranks X <= Y, taken before any weight is known, so every shift can be
+    called."""
+    factors = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counts, "_weighted_count", lambda x, y, build, *label: factors.append(build))
+        count_s_paths(Word((1,) * X), Word((1,) * Y), S)
+    return factors[0]()
+
+
 _XI_GRID = [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80, 160)]
 
 
@@ -327,33 +337,51 @@ _XI_GRID = [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80,
     + [(100, 150, 20_000), (100, 1000, 20_000)],
 )
 def test_xi_row_matches_xi(X, Y, S):
-    # the row walks one k = 0 term down the shifts and sums each entry by
-    # term ratios; the reference builds every term from fresh binomials
-    row = _xi_row(X, Y, S)
+    # count_s_paths hands each shift the k = 0 term of shift 0 times
+    # perm(Y, i) / perm(Y + 2S, i), and the one xi evaluator sums by term
+    # ratios; the reference builds every term of every shift from fresh
+    # binomials
+    row = list(map(_xi_factor(X, Y, S), range(X + 1)))
     assert row == _xi_reference_row(X, Y, S)
-    assert row[0] == xi(X, Y, S)
-    # the last shift is the closed form, computed apart from the row's
-    # stepped k = 0 term
+    # xi takes the same evaluator with its own closed k = 0 term
+    shifts = range(X + 1) if S <= 600 else (0, X // 2, X)
+    assert [xi(X, Y, S, i) for i in shifts] == [row[i] for i in shifts]
     assert row[X] == xi_zero(Y - X, S)
 
 
 def test_xi_row_divides_exactly_at_the_s_cap(monkeypatch):
     S, m = 20_000, 40
-    row = _xi_row(2 * m, 2 * m, S)
+    row = list(map(_xi_factor(2 * m, 2 * m, S), range(2 * m + 1)))
     # xi(1, Y, S, 0) = xi(0, Y, S, 0): the last two shifts are closed forms,
-    # (2S - 1)!! and (2S + 1)!!
+    # (2S - 1)!! and (2S + 1)!!, reached from shift 0's k = 0 term
     assert row[-1] == xi_zero(0, S) == odd_double_factorial(2 * S - 1)
     assert row[-2] == xi_zero(1, S) == odd_double_factorial(2 * S + 1)
-    # a k = 0 term off by one leaves a remainder, which is an inconsistency:
-    # in an entry's divide, or at X = 1, whose entries divide by 1, in the
-    # step to the next shift
+    # a k = 0 term off by one leaves a remainder in the xi divide, which is
+    # an inconsistency, whether xi or count_s_paths built the term
     real = counts.xi_zero
     monkeypatch.setattr(counts, "xi_zero", lambda Y, S: real(Y, S) + 1)
-    for X in (2 * m, 1):
-        with pytest.raises(InconsistencyError):
-            _xi_row(X, X, S)
-    with pytest.raises(InconsistencyError):
+    x = Word((1,) * 2 * m)
+    with pytest.raises(InconsistencyError, match=r"^xi\("):
+        count_s_paths(x, x, S)
+    with pytest.raises(InconsistencyError, match=r"^xi\("):
         xi(2 * m, 2 * m, S)
+
+
+def test_s_paths_evaluates_xi_only_where_the_weight_is_nonzero(monkeypatch):
+    calls = []
+    real = counts._xi_from_head
+    monkeypatch.setattr(
+        counts, "_xi_from_head", lambda X, *rest: calls.append(X) or real(X, *rest)
+    )
+    x, y = w("2212"), w("21212121")
+    row = weight_row(x, y)
+    assert row.count(0) > x.rank // 2
+    count_s_paths(x, y, 5)
+    assert sorted(x.rank - X for X in calls) == [i for i, v in enumerate(row) if v]
+    calls.clear()
+    with pytest.raises(ValueError, match="needs rank"):
+        count_s_paths(y, x, 5)
+    assert calls == []
 
 
 def _random_word(rng, rank):
@@ -365,12 +393,25 @@ def _random_word(rng, rank):
     return Word(tuple(digits))
 
 
-@pytest.mark.parametrize("rx, ry, S", [(30, 45, 200), (60, 100, 400), (40, 41, 600)])
-def test_s_paths_first_step_split_at_scale(rx, ry, S):
+@pytest.mark.parametrize(
+    "rx, ry, S, digit",
+    [
+        pytest.param(30, 45, 200, None, id="30-45-200"),
+        pytest.param(60, 100, 400, None, id="60-100-400"),
+        pytest.param(40, 41, 600, None, id="40-41-600"),
+        # every shift of 1^rx is a suffix sum, so only y's g values zero a
+        # weight; every odd shift of 2^(rx/2) has weight zero
+        pytest.param(60, 100, 400, 1, id="ones-60-100-400"),
+        pytest.param(60, 100, 400, 2, id="twos-60-100-400"),
+    ],
+)
+def test_s_paths_first_step_split_at_scale(rx, ry, S, digit):
     # every S-path from y to x starts with a down-step to a predecessor or an
     # up-step to a successor; holds far past the oracle's reach
     rng = random.Random(rx * 1000 + ry)
     x, y = _random_word(rng, rx), _random_word(rng, ry)
+    if digit:
+        x = Word((digit,) * (rx // digit))
     down = sum(count_s_paths(x, p, S) for p in predecessors(y))
     up = sum(count_s_paths(x, s, S - 1) for s in successors(y))
     total = count_s_paths(x, y, S)

@@ -53,8 +53,10 @@ def test_validation_errors():
 
 def test_parse_trajectory():
     assert parse_trajectory("3,2,1").values == (3, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         parse_trajectory("3,a")
+    # the error stands alone, not chained to int()'s
+    assert raised.value.__suppress_context__
 
 
 def test_reverse():
