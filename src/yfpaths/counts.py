@@ -14,16 +14,20 @@ binomials and odd double factorials.  Successive terms of such a sum differ
 by a ratio of a few small integers, so each ``xi`` is its k = 0 term,
 C(Y + 2S, Y) * (2S - 1)!!, times one fraction of small-integer products.
 ``xi`` and ``count_s_paths`` share that one evaluator: ``count_s_paths``
-builds the k = 0 term of shift 0 once per query, and at each shift whose
-weight is nonzero hands it over with the ratio perm(Y, i) / perm(Y + 2S, i)
-to the shifted one.  Every divide is checked to be exact, and every result to
-be a nonnegative integer before it is returned.
+builds the k = 0 term of shift 0 once per query, over the odd double
+factorial (2(S - K) - 1)!! that every term of every shift holds
+(K = min(X // 2, S)), and at each shift whose weight is nonzero hands it over
+with the ratio perm(Y, i) / perm(Y + 2S, i) to the shifted one; the sum is
+multiplied by that double factorial once.  ``count_trajectory``'s factor is 0
+at every shift that is an up-value, so the weight row leaves those entries
+unbuilt.  Every divide is checked to be exact, and every result to be a
+nonnegative integer before it is returned.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from math import comb, factorial, gcd, perm, prod
 
 from .functions import InconsistencyError, g_values, weight_row
@@ -63,27 +67,34 @@ def _as_count(total: int, what: str, *args: object, scale: int = 1) -> int:
 
 
 def _weighted_count(
-    x: Word, y: Word, factors: Callable[[], Callable[[int], int]], what: str, *args: object
+    x: Word,
+    y: Word,
+    factors: Callable[[], tuple[Callable[[int], int], Collection[int], int]],
+    what: str,
+    *args: object,
 ) -> int:
     """sum_{i=0}^{rank x} weight(x, y, i) * c_i, checked to be a count.
 
     All three counts share this shape; only the factor c_i differs.  The rank
-    order is checked first, and only then is the factor i -> c_i built, by
-    ``factors()``.  The sum runs over the integer row rank(x)! * weight and
-    is divided by rank(x)! once, at the end; the factor is called only where
-    the weight is nonzero, so ``count_s_paths`` evaluates xi only there.
+    order is checked first, and only then is the factor built, by
+    ``factors()``, as (c, zeros, common): c_i = common * c(i), and c(i) is 0
+    at every i in ``zeros``.  The sum runs over the integer row
+    rank(x)! * weight, built with the entries in ``zeros`` left 0 (see
+    :func:`weight_row`), and calls c only where that row is nonzero, so
+    ``count_s_paths`` evaluates xi only there.  It is multiplied by common
+    and divided by rank(x)! once, at the end.
     """
     if y.rank < x.rank:
         raise ValueError(f"{what.format(*args)} needs rank({y}) >= rank({x})")
-    row = weight_row(x, y)
-    factor = factors()
+    factor, zeros, common = factors()
+    row = weight_row(x, y, zeros)
     total = sum(w * factor(i) for i, w in enumerate(row) if w)
-    return _as_count(total, what, *args, scale=factorial(x.rank))
+    return _as_count(total * common, what, *args, scale=factorial(x.rank))
 
 
 def count_down(x: Word, y: Word) -> int:
     """Number of rank-decreasing paths from y down to x."""
-    return _weighted_count(x, y, lambda: lambda i: 1, "count_down({}, {})", x, y)
+    return _weighted_count(x, y, lambda: (lambda i: 1, (), 1), "count_down({}, {})", x, y)
 
 
 def count_down_from_top(x: Word) -> int:
@@ -99,15 +110,17 @@ def count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
             f"ranks ({y.rank}, {x.rank})"
         )
     # prod_e (e - i) over the up-values, as one power per multiplicity m of
-    # the product of the up-values that occur m times
+    # the product of the up-values that occur m times; it is 0 at every
+    # shift i that is an up-value, so the row skips those
+    ups = Counter(t.up_values)
     by_count: dict[int, list[int]] = {}
-    for e, m in Counter(t.up_values).items():
+    for e, m in ups.items():
         by_count.setdefault(m, []).append(e)
     groups = by_count.items()
     return _weighted_count(
         x,
         y,
-        lambda: lambda i: prod(pow(prod(e - i for e in es), m) for m, es in groups),
+        lambda: (lambda i: prod(pow(prod(e - i for e in es), m) for m, es in groups), ups, 1),
         "count_trajectory({}, {}, {})", x, y, t,
     )
 
@@ -128,8 +141,9 @@ def xi_zero(Y: int, S: int) -> int:
 
 
 def _xi_from_head(X: int, Y: int, S: int, head: int, num: int = 1, den: int = 1) -> int:
-    """xi(X, Y, S, 0) for Y >= X >= 0, given its k = 0 term xi_zero(Y, S) as
-    head * num / den.
+    """xi(X, Y, S, 0) / d for Y >= X >= 0, given its k = 0 term over d,
+    xi_zero(Y, S) / d, as head * num / den; d divides every term of the sum
+    (``xi`` takes d = 1).
 
     The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
     k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
@@ -167,10 +181,19 @@ def count_s_paths(x: Word, y: Word, S: int) -> int:
         raise ValueError("S must be nonnegative")
     X, Y = x.rank, y.rank
 
-    def factors() -> Callable[[int], int]:
+    def factors() -> tuple[Callable[[int], int], Collection[int], int]:
+        # every term of every shift's sum holds (2(S - k) - 1)!! with
+        # k <= K = min(X // 2, S), a multiple of (2(S - K) - 1)!!: it is
+        # divided out of shift 0's k = 0 term once, and the sum is
+        # multiplied by it once
+        common = odd_double_factorial(2 * (S - min(X // 2, S)) - 1)
+        head = _exact(xi_zero(Y, S), common, "xi({}, {}, {}, 0)", X, Y, S)
         # xi_zero(Y - i, S) = xi_zero(Y, S) * perm(Y, i) / perm(Y + 2S, i)
-        head = xi_zero(Y, S)
-        return lambda i: _xi_from_head(X - i, Y - i, S, head, perm(Y, i), perm(Y + 2 * S, i))
+        return (
+            lambda i: _xi_from_head(X - i, Y - i, S, head, perm(Y, i), perm(Y + 2 * S, i)),
+            (),
+            common,
+        )
 
     return _weighted_count(x, y, factors, "count_s_paths({}, {}, {})", x, y, S)
 

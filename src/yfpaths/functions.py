@@ -35,6 +35,7 @@ compares two evaluators written apart.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
@@ -221,8 +222,9 @@ def weight(x: Word, y: Word, i: int) -> Fraction:
     return f_rec(x, i, common_suffix_len(x, y)) * g_product(y, i)
 
 
-def weight_row(x: Word, y: Word) -> list[int]:
-    """[rank(x)! * weight(x, y, i) for i in 0..rank(x)], as exact integers.
+def weight_row(x: Word, y: Word, skip: Collection[int] = ()) -> list[int]:
+    """[rank(x)! * weight(x, y, i) for i in 0..rank(x)], as exact integers,
+    but 0 at every i in ``skip``.
 
     f_base is a Lagrange weight on the suffix digit sums of x (0 and rank
     included), and the g values of x are exactly the m in 0..rank that are
@@ -237,7 +239,10 @@ def weight_row(x: Word, y: Word) -> list[int]:
           * prod_{g in gx[c:] + gy[c:]} (g - i) * V,
 
     where t = c once k passes h, and no factor is multiplied in only to be
-    divided out.
+    divided out.  An entry known to be 0, or to be multiplied by 0, is left 0
+    with no walk and no product: at an i in gx[c:] + gy[c:], a factor of the
+    last product (only y's can be a suffix sum), and at an i in ``skip``,
+    where the caller's factor is 0.
     """
     if y.rank < x.rank:
         raise ValueError(f"weight_row requires rank({y}) >= rank({x})")
@@ -248,8 +253,11 @@ def weight_row(x: Word, y: Word) -> list[int]:
     c = sums[h] - h  # the 2s of the common suffix
     gx = g_values(x)
     shared, rest = gx[:c], gx[c:] + g_values(y)[c:]
+    zeros = set(rest).union(skip)
     row = [0] * (rank + 1)
     for k, i in enumerate(sums):
+        if i in zeros:
+            continue
         # the walk strips the last k digits, at most the h of the common suffix
         m, s = (k, i) if k <= h else (h, sums[h])
         lead, t = _lagrange_walk(digits, rank, i, m, s)

@@ -12,7 +12,8 @@ costs no ``inspect``.
 
 from __future__ import annotations
 
-from operator import index, sub
+from itertools import compress
+from operator import index, lt, sub
 
 from .words import FrozenValue
 
@@ -72,7 +73,8 @@ class Trajectory(FrozenValue):
     def up_values(self) -> tuple[int, ...]:
         """Heights reached by the up-steps, in order."""
         values = self.values
-        return tuple(b for a, b in zip(values, values[1:]) if b > a)
+        later = values[1:]
+        return tuple(compress(later, map(lt, values, later)))
 
     def __str__(self) -> str:
         return ",".join(map(str, self.values))

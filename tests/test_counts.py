@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, prod
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from reference import reverse, trajectory_from_sequence
-from yfpaths import counts
+from yfpaths import counts, functions
 from yfpaths.counts import (
     _as_count,
     count_down,
@@ -268,10 +269,10 @@ def test_failed_checks_name_the_query(monkeypatch):
     with pytest.raises(ValueError, match=r"^count_s_paths\(2222222, 1, 0\) needs rank\(1\)"):
         count_s_paths(w("2" * 7), w("1"), 0)
     # a row that does not sum to a multiple of rank(x)! is not a count
-    monkeypatch.setattr(counts, "weight_row", lambda x, y: [1, 0, 0])
+    monkeypatch.setattr(counts, "weight_row", lambda x, y, skip=(): [1, 0, 0])
     with pytest.raises(InconsistencyError, match=r"^count_down\(11, 1211\) evaluated to a non-integer$"):
         count_down(x, y)
-    monkeypatch.setattr(counts, "weight_row", lambda x, y: [-2, 0, 0])
+    monkeypatch.setattr(counts, "weight_row", lambda x, y, skip=(): [-2, 0, 0])
     with pytest.raises(InconsistencyError, match=r"^count_s_paths\(11, 1211, 0\) evaluated to negative -1$"):
         count_s_paths(x, y, 0)
 
@@ -320,12 +321,15 @@ def _xi_reference_row(X, Y, S):
 def _xi_factor(X, Y, S):
     """The factor i -> xi(X, Y, S, i) that count_s_paths builds for words of
     ranks X <= Y, taken before any weight is known, so every shift can be
-    called."""
+    called; the double factorial that count_s_paths takes out of every shift
+    is multiplied back in."""
     factors = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counts, "_weighted_count", lambda x, y, build, *label: factors.append(build))
         count_s_paths(Word((1,) * X), Word((1,) * Y), S)
-    return factors[0]()
+    factor, _, common = factors[0]()
+    assert common == odd_double_factorial(2 * (S - min(X // 2, S)) - 1)
+    return lambda i: common * factor(i)
 
 
 _XI_GRID = [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80, 160)]
@@ -496,6 +500,48 @@ def test_trajectory_with_one_repeated_up_value():
     t = _trajectory_with_ups(70, 75, [70] * 600)
     assert set(t.up_values) == {70}
     total = count_trajectory(x, y, t)
+    assert total > 0
+    assert total == _first_step_split(x, y, t) == _ungrouped_count(x, y, t)
+
+
+def _dipping_trajectory(rng, X, Y):
+    """A trajectory from Y to X that steps up once, dips to random heights
+    below X and climbs back to X, so most shifts 0..X are up-values."""
+    dips = sorted(rng.sample(range(1, X), X // 3), reverse=True)
+    return _trajectory_with_ups(X, Y, [Y + 1] + dips + list(range(dips[-1] + 1, X + 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trajectory_walks_and_factors_no_up_value(monkeypatch, seed):
+    # the factor prod_e (e - i) is 0 at every shift i that is an up-value, so
+    # the row runs no walk there and the factor is not called there
+    rng = random.Random(seed)
+    X = rng.randint(20, 40)
+    Y = X + rng.randint(1, 10)
+    x, y = _random_word(rng, X), _random_word(rng, Y)
+    t = _dipping_trajectory(rng, X, Y)
+    ups = set(t.up_values)
+    walked, factored = [], []
+    walk = functions._lagrange_walk
+    monkeypatch.setattr(
+        functions, "_lagrange_walk", lambda d, r, i, *rest: walked.append(i) or walk(d, r, i, *rest)
+    )
+    weighted_count = counts._weighted_count
+
+    def counted(x, y, factors, *label):
+        def counted_factors():
+            factor, zeros, common = factors()
+            return (lambda i: factored.append(i) or factor(i)), zeros, common
+
+        return weighted_count(x, y, counted_factors, *label)
+
+    monkeypatch.setattr(counts, "_weighted_count", counted)
+    total = count_trajectory(x, y, t)
+    monkeypatch.undo()
+    assert ups & set(accumulate(reversed(x.digits), initial=0))  # some walks are skipped
+    assert walked and not ups.intersection(walked)
+    row = weight_row(x, y)
+    assert factored == [i for i, v in enumerate(row) if v and i not in ups]
     assert total > 0
     assert total == _first_step_split(x, y, t) == _ungrouped_count(x, y, t)
 

@@ -290,6 +290,57 @@ def test_weight_row_matches_explicit_small():
                     ], f"({x}, {y})"
 
 
+def test_weight_row_skip_small():
+    # an entry in the skip set is 0; every other entry is the full row's
+    for ry in range(7):
+        for y in level(ry):
+            for rx in range(ry + 1):
+                for x in level(rx):
+                    full = weight_row(x, y)
+                    for skip in (range(0, rx + 1, 2), range(1, rx + 1, 2), range(rx + 1)):
+                        assert weight_row(x, y, skip) == [
+                            0 if i in skip else v for i, v in enumerate(full)
+                        ], f"({x}, {y}, {skip})"
+
+
+def _walked_shifts(monkeypatch, x, y, skip=()):
+    """weight_row(x, y, skip) and the shifts i at which it ran a walk."""
+    import yfpaths.functions as functions
+
+    walked = []
+    walk = functions._lagrange_walk
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            functions, "_lagrange_walk", lambda d, r, i, *rest: walked.append(i) or walk(d, r, i, *rest)
+        )
+        row = weight_row(x, y, skip)
+    return row, walked
+
+
+def _unshared_g_values(x, y):
+    """The g values of y outside the common suffix of x and y."""
+    h = common_suffix_len(x, y)
+    return g_values(y)[x.digits[x.digit_count - h:].count(2):]
+
+
+def test_weight_row_walks_no_unshared_g_value_of_y(monkeypatch):
+    # a (g - i) factor of y's unshared g values is 0 at i = g, so the entry
+    # is 0 with no walk; every other suffix sum of x is walked
+    hits = 0
+    pairs = [(x, y) for ry in range(7) for y in level(ry) for rx in range(ry + 1) for x in level(rx)]
+    rng = random.Random(1)
+    ones = Word((1,) * 100)
+    pairs += [(ones, Word(_random_word(rng, 150) + ones.digits[:7])) for _ in range(3)]
+    for x, y in pairs:
+        row, walked = _walked_shifts(monkeypatch, x, y)
+        unshared = set(_unshared_g_values(x, y))
+        sums = set(_suffix_sums(x))
+        assert sorted(walked) == sorted(sums - unshared), f"({x}, {y})"
+        assert all(row[g] == 0 for g in unshared if g <= x.rank), f"({x}, {y})"
+        hits += len(unshared & sums)
+    assert hits > 100
+
+
 def _random_word(rng, rank):
     digits = []
     while rank:
@@ -313,6 +364,22 @@ def test_weight_row_matches_explicit_at_scale(rx, ry):
         expected = factorial(rx) * f_explicit(x, i, x.digit_count) * g_product(y, i)
         assert row[i] == expected, f"i={i}"
     assert any(row)
+
+
+@pytest.mark.parametrize("rx, ry", [(120, 240), (150, 200), (200, 400)])
+def test_weight_row_skip_at_scale(monkeypatch, rx, ry):
+    # the suffix pairs above, with half of the suffix sums of x and one of
+    # the shifts that are none skipped: those entries are 0 and unwalked,
+    # the rest are the full row's
+    rng = random.Random(rx + ry)
+    x = Word(_random_word(rng, rx))
+    y = Word(_random_word(rng, ry - rx) + x.digits)
+    full = weight_row(x, y)
+    sums = _suffix_sums(x)
+    skip = set(rng.sample(sums, len(sums) // 2)) | set(g_values(x)[:1])
+    row, walked = _walked_shifts(monkeypatch, x, y, skip)
+    assert row == [0 if i in skip else v for i, v in enumerate(full)]
+    assert sorted(walked) == sorted(set(sums) - skip)
 
 
 @pytest.mark.parametrize("rx", [60, 100, 150])
