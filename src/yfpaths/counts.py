@@ -13,15 +13,18 @@ up-values, which collapse to the closed-form ``xi`` values built from
 binomials and odd double factorials.  Successive terms of such a sum differ
 by a ratio of a few small integers, so each ``xi`` is its k = 0 term,
 C(Y + 2S, Y) * (2S - 1)!!, times one fraction of small-integer products.
-``xi`` and ``count_s_paths`` share that one evaluator: ``count_s_paths``
-builds the k = 0 term of shift 0 once per query, over the odd double
-factorial (2(S - K) - 1)!! that every term of every shift holds
-(K = min(X // 2, S)), and at each shift whose weight is nonzero hands it over
-with the ratio perm(Y, i) / perm(Y + 2S, i) to the shifted one; the sum is
-multiplied by that double factorial once.  ``count_trajectory``'s factor is 0
-at every shift that is an up-value, so the weight row leaves those entries
-unbuilt.  Every divide is checked to be exact, and every result to be a
-nonnegative integer before it is returned.
+Every term holds the odd double factorial (2(S - K) - 1)!! with
+K = min(X // 2, S), so the evaluator takes the k = 0 term over it, the head
+C(Y + 2S, Y) * prod_{S - K < k <= S} (2k - 1), which one builder makes from
+its own factors, so no (2S - 1)!! is built only to be divided away.  ``xi`` and
+``count_s_paths`` share that builder and the one evaluator:
+``count_s_paths`` builds the head of shift 0 once per query, and at each
+shift whose weight is nonzero hands it over with the ratio
+perm(Y, i) / perm(Y + 2S, i) to the shifted one; each multiplies the double
+factorial back in once.  ``count_trajectory``'s factor is 0 at every shift
+that is an up-value, so the weight row leaves those entries unbuilt.  Every
+divide is checked to be exact, and every result to be a nonnegative integer
+before it is returned.
 """
 
 from __future__ import annotations
@@ -140,23 +143,36 @@ def xi_zero(Y: int, S: int) -> int:
     return comb(Y + 2 * S, Y) * odd_double_factorial(2 * S - 1)
 
 
+def _xi_head(Y: int, S: int, K: int) -> int:
+    """xi_zero(Y, S) / (2(S - K) - 1)!! for 0 <= K <= S: C(Y + 2S, Y) times
+    prod_{S - K < k <= S} (2k - 1) = perm(2S, 2K) / (2^K perm(S, K))."""
+    odd = _exact(perm(2 * S, 2 * K), perm(S, K) << K, "{}!! / {}!!", 2 * S - 1, 2 * (S - K) - 1)
+    return comb(Y + 2 * S, Y) * odd
+
+
 def _xi_from_head(X: int, Y: int, S: int, head: int, num: int = 1, den: int = 1) -> int:
     """xi(X, Y, S, 0) / d for Y >= X >= 0, given its k = 0 term over d,
     xi_zero(Y, S) / d, as head * num / den; d divides every term of the sum
-    (``xi`` takes d = 1).
+    (``xi`` takes d = (2(S - K) - 1)!! with K = min(X // 2, S), and the head
+    ``_xi_head(Y, S, K)``).
 
     The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
     k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
     (k (N + Y + 1)(N + Y + 2)) with N = 2(S - k).  So the sum is the k = 0 term
     times 1 + r_1 (1 + r_2 (1 + ...)), evaluated from the last k as one
-    fraction p / q of small-integer products.  That fraction times num / den
-    is reduced by its gcd, and one exact divide of head times it finishes it.
+    fraction p / q of small-integer products; from one k to the next,
+    N + Y + 1 and X - 2k + 1 step by 2.  That fraction times num / den is
+    reduced by its gcd, and one exact divide of head times it finishes it.
     """
+    K = min(X // 2, S)
     p = q = 1
-    for k in range(min(X // 2, S), 0, -1):
-        n = 2 * (S - k) + Y
-        b = k * (n + 1) * (n + 2)
-        p, q = b * q - (X - 2 * k + 2) * (X - 2 * k + 1) * (S - k + 1) * p, b * q
+    n = 2 * (S - K) + Y + 1
+    a = X - 2 * K + 1
+    for k in range(K, 0, -1):
+        q *= k * n * (n + 1)
+        p = q - a * (a + 1) * (S - k + 1) * p
+        n += 2
+        a += 2
     p, q = p * num, q * den
     g = gcd(p, q)
     return _exact(head * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S)
@@ -166,13 +182,19 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
     """Sum over trajectories from Y to X with S up-steps of prod_j (e_j - i).
 
     Valid for Y >= X >= i >= 0.  Shifts to (X - i, Y - i, S, 0) and expands
-    as an alternating sum of min(floor((X - i) / 2), S) + 1 closed terms.
+    as an alternating sum of K + 1 closed terms, K = min(floor((X - i) / 2), S),
+    each a multiple of (2(S - K) - 1)!!: the sum is taken over that double
+    factorial from the head ``_xi_head(Y - i, S, K)``, and the double
+    factorial is multiplied back once.
     """
     if not Y >= X >= i >= 0:
         raise ValueError(f"xi needs Y >= X >= i >= 0, got ({X}, {Y}, {S}, {i})")
     if S < 0:
         raise ValueError("S must be nonnegative")
-    return _xi_from_head(X - i, Y - i, S, xi_zero(Y - i, S))
+    K = min((X - i) // 2, S)
+    return odd_double_factorial(2 * (S - K) - 1) * _xi_from_head(
+        X - i, Y - i, S, _xi_head(Y - i, S, K)
+    )
 
 
 def count_s_paths(x: Word, y: Word, S: int) -> int:
@@ -183,16 +205,15 @@ def count_s_paths(x: Word, y: Word, S: int) -> int:
 
     def factors() -> tuple[Callable[[int], int], Collection[int], int]:
         # every term of every shift's sum holds (2(S - k) - 1)!! with
-        # k <= K = min(X // 2, S), a multiple of (2(S - K) - 1)!!: it is
-        # divided out of shift 0's k = 0 term once, and the sum is
-        # multiplied by it once
-        common = odd_double_factorial(2 * (S - min(X // 2, S)) - 1)
-        head = _exact(xi_zero(Y, S), common, "xi({}, {}, {}, 0)", X, Y, S)
+        # k <= K = min(X // 2, S), a multiple of (2(S - K) - 1)!!: shift 0's
+        # head is built over it, and the sum is multiplied by it once
+        K = min(X // 2, S)
+        head = _xi_head(Y, S, K)
         # xi_zero(Y - i, S) = xi_zero(Y, S) * perm(Y, i) / perm(Y + 2S, i)
         return (
             lambda i: _xi_from_head(X - i, Y - i, S, head, perm(Y, i), perm(Y + 2 * S, i)),
             (),
-            common,
+            odd_double_factorial(2 * (S - K) - 1),
         )
 
     return _weighted_count(x, y, factors, "count_s_paths({}, {}, {})", x, y, S)

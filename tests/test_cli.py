@@ -852,7 +852,7 @@ _WORK = {
     "yfpaths.counts.count_down": 0,
     "yfpaths.counts.count_trajectory": 0,
     "yfpaths.counts.count_s_paths": 0,
-    "yfpaths.counts.xi_zero": 0,
+    "yfpaths.counts._xi_head": 0,
     "yfpaths.functions._f_rec": 0,
     "yfpaths.cli.level": [],
 }

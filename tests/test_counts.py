@@ -362,13 +362,34 @@ def test_xi_row_divides_exactly_at_the_s_cap(monkeypatch):
     assert row[-2] == xi_zero(1, S) == odd_double_factorial(2 * S + 1)
     # a k = 0 term off by one leaves a remainder in the xi divide, which is
     # an inconsistency, whether xi or count_s_paths built the term
-    real = counts.xi_zero
-    monkeypatch.setattr(counts, "xi_zero", lambda Y, S: real(Y, S) + 1)
+    real = counts._xi_head
+    monkeypatch.setattr(counts, "_xi_head", lambda Y, S, K: real(Y, S, K) + 1)
     x = Word((1,) * 2 * m)
     with pytest.raises(InconsistencyError, match=r"^xi\("):
         count_s_paths(x, x, S)
     with pytest.raises(InconsistencyError, match=r"^xi\("):
         xi(2 * m, 2 * m, S)
+
+
+@pytest.mark.parametrize(
+    "X, Y, S",
+    [(X, Y, S) for X, Y in _XI_GRID for S in (0, 1, 200, 600)] + [(100, 3000, 20_000)],
+)
+def test_xi_head_is_xi_zero_over_the_shared_double_factorial(X, Y, S):
+    # the head of every shift i, over the (2(S - K) - 1)!! of shift 0; K runs
+    # from 0 (S = 0, or X < 2) to S (S <= X // 2)
+    K = min(X // 2, S)
+    common = odd_double_factorial(2 * (S - K) - 1)
+    for i in range(X + 1):
+        assert counts._xi_head(Y - i, S, K) * common == xi_zero(Y - i, S), i
+
+
+def test_xi_head_divides_exactly(monkeypatch):
+    # perm(2S, 2K) / (2^K perm(S, K)) off by one is an inconsistency
+    real = counts.perm
+    monkeypatch.setattr(counts, "perm", lambda n, k: real(n, k) + 1)
+    with pytest.raises(InconsistencyError, match=r"^39999!! / 39919!! "):
+        counts._xi_head(3000, 20_000, 40)
 
 
 def test_s_paths_evaluates_xi_only_where_the_weight_is_nonzero(monkeypatch):
