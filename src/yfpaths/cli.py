@@ -267,10 +267,12 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # the cost grows with rank(y) too: with x = 1^1000 and y = 2^k 1^1000,
 # ``down`` takes 0.5-0.7 s at rank(y) 3000, ~0.9 s at 4000 and 1.3-1.7 s at
 # 5000, and ``traj`` with 1000 up-steps ~0.8, 1.0 and 1.9 s.  ``spaths``
-# evaluates one such xi sum per shift of nonzero weight, at most rank(x) + 1,
-# each finished by one divide of a (2S - 1)!!-sized number: rank(x) 100 at
-# S = 20000 takes 0.27-0.34 s at rank(y) 150 and 0.35-0.53 s at rank(y)
-# 3000.  ``f`` walks the digits of x: ``f_rec``
+# takes the xi of every shift from one pass of a three-term recurrence,
+# rank(x) exact divides by a small integer of a number the size of
+# C(Y + 2S, Y) times K <= rank(x) / 2 odd factors below 2S, and runs one
+# such xi sum, at shift 0, to check it: rank(x) 100 at
+# S = 20000 takes ~0.17 s of wall time at rank(y) 150 and 0.20-0.22 s at
+# rank(y) 3000.  ``f`` walks the digits of x: ``f_rec``
 # takes up to ~0.11 s at rank(x) 10000 and ~0.4 s at 20000.  The closed form
 # that ``--verify`` adds is one pass over the g values of x: 1 ms at rank(x)
 # 1000, 3 ms at 2000 and ~0.08 s at 10000, so ``yf f 1^N N-1 N --verify``

@@ -16,15 +16,15 @@ C(Y + 2S, Y) * (2S - 1)!!, times one fraction of small-integer products.
 Every term holds the odd double factorial (2(S - K) - 1)!! with
 K = min(X // 2, S), so the evaluator takes the k = 0 term over it, the head
 C(Y + 2S, Y) * prod_{S - K < k <= S} (2k - 1), which one builder makes from
-its own factors, so no (2S - 1)!! is built only to be divided away.  ``xi`` and
-``count_s_paths`` share that builder and the one evaluator:
-``count_s_paths`` builds the head of shift 0 once per query, and at each
-shift whose weight is nonzero hands it over with the ratio
-perm(Y, i) / perm(Y + 2S, i) to the shifted one; each multiplies the double
-factorial back in once.  ``count_trajectory``'s factor is 0 at every shift
-that is an up-value, so the weight row leaves those entries unbuilt.  Every
-divide is checked to be exact, and every result to be a nonnegative integer
-before it is returned.
+its own factors, so no (2S - 1)!! is built only to be divided away.
+``count_s_paths`` needs xi at every shift, which it takes from one
+three-term recurrence along the shift, started from the closed head of the
+last shift; ``xi``'s term sum of shift 0, over the same double factorial,
+checks where the recurrence ends.  ``xi`` and ``count_s_paths`` each
+multiply the double factorial back in once.  ``count_trajectory``'s factor is 0 at every shift that is an
+up-value, so the weight row leaves those entries unbuilt.  Every divide is
+checked to be exact, and every result to be a nonnegative integer before it
+is returned.
 """
 
 from __future__ import annotations
@@ -83,9 +83,8 @@ def _weighted_count(
     ``factors()``, as (c, zeros, common): c_i = common * c(i), and c(i) is 0
     at every i in ``zeros``.  The sum runs over the integer row
     rank(x)! * weight, built with the entries in ``zeros`` left 0 (see
-    :func:`weight_row`), and calls c only where that row is nonzero, so
-    ``count_s_paths`` evaluates xi only there.  It is multiplied by common
-    and divided by rank(x)! once, at the end.
+    :func:`weight_row`), and calls c only where that row is nonzero.  It is
+    multiplied by common and divided by rank(x)! once, at the end.
     """
     if y.rank < x.rank:
         raise ValueError(f"{what.format(*args)} needs rank({y}) >= rank({x})")
@@ -150,19 +149,19 @@ def _xi_head(Y: int, S: int, K: int) -> int:
     return comb(Y + 2 * S, Y) * odd
 
 
-def _xi_from_head(X: int, Y: int, S: int, head: int, num: int = 1, den: int = 1) -> int:
+def _xi_from_head(X: int, Y: int, S: int, head: int) -> int:
     """xi(X, Y, S, 0) / d for Y >= X >= 0, given its k = 0 term over d,
-    xi_zero(Y, S) / d, as head * num / den; d divides every term of the sum
-    (``xi`` takes d = (2(S - K) - 1)!! with K = min(X // 2, S), and the head
-    ``_xi_head(Y, S, K)``).
+    head = xi_zero(Y, S) / d; d divides every term of the sum (``xi`` and
+    ``count_s_paths`` take d = (2(S - K) - 1)!! with K = min(X // 2, S), and
+    the head ``_xi_head(Y, S, K)``).
 
     The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
     k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
     (k (N + Y + 1)(N + Y + 2)) with N = 2(S - k).  So the sum is the k = 0 term
     times 1 + r_1 (1 + r_2 (1 + ...)), evaluated from the last k as one
     fraction p / q of small-integer products; from one k to the next,
-    N + Y + 1 and X - 2k + 1 step by 2.  That fraction times num / den is
-    reduced by its gcd, and one exact divide of head times it finishes it.
+    N + Y + 1 and X - 2k + 1 step by 2.  That fraction is reduced by its gcd,
+    and one exact divide of head times it finishes it.
     """
     K = min(X // 2, S)
     p = q = 1
@@ -173,7 +172,6 @@ def _xi_from_head(X: int, Y: int, S: int, head: int, num: int = 1, den: int = 1)
         p = q - a * (a + 1) * (S - k + 1) * p
         n += 2
         a += 2
-    p, q = p * num, q * den
     g = gcd(p, q)
     return _exact(head * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S)
 
@@ -198,23 +196,37 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
 
 
 def count_s_paths(x: Word, y: Word, S: int) -> int:
-    """Number of paths from y to x with exactly S up-steps."""
+    """Number of paths from y to x with exactly S up-steps.
+
+    The factor of shift i is xi(X - i, Y - i, S, 0), X = rank(x) and
+    Y = rank(y).  With u = Y - X fixed, T(a) = xi(a, a + u, S, 0) obeys
+    (a + u) T(a) = (2S + u + 1) T(a - 1) + (a - 1) T(a - 2) for a >= 1 (xi
+    is holonomic along the shift; see Petkovsek, Wilf and Zeilberger, A = B),
+    so T(0) = xi_zero(u, S), a closed head, fixes every shift in one pass of
+    exact divides.  The pass ends at T(X), shift 0, which is checked against
+    the term sum of ``xi`` built from shift 0's own head.
+    """
     if S < 0:
         raise ValueError("S must be nonnegative")
     X, Y = x.rank, y.rank
 
     def factors() -> tuple[Callable[[int], int], Collection[int], int]:
         # every term of every shift's sum holds (2(S - k) - 1)!! with
-        # k <= K = min(X // 2, S), a multiple of (2(S - K) - 1)!!: shift 0's
-        # head is built over it, and the sum is multiplied by it once
+        # k <= K = min(X // 2, S), a multiple of (2(S - K) - 1)!!: every T(a)
+        # is taken over it, and the sum is multiplied by it once
         K = min(X // 2, S)
-        head = _xi_head(Y, S, K)
-        # xi_zero(Y - i, S) = xi_zero(Y, S) * perm(Y, i) / perm(Y + 2S, i)
-        return (
-            lambda i: _xi_from_head(X - i, Y - i, S, head, perm(Y, i), perm(Y + 2 * S, i)),
-            (),
-            odd_double_factorial(2 * (S - K) - 1),
-        )
+        u = Y - X
+        c = 2 * S + u + 1
+        t = [_xi_head(u, S, K)]
+        for a in range(1, X + 1):
+            # at a = 1 the T(-1) term has coefficient 0
+            prior = (a - 1) * t[a - 2] if a > 1 else 0
+            t.append(_exact(c * t[a - 1] + prior, a + u, "xi({}, {}, {}, 0)", a, a + u, S))
+        if t[X] != _xi_from_head(X, Y, S, _xi_head(Y, S, K)):
+            raise InconsistencyError(
+                f"xi({X}, {Y}, {S}, 0) from the shift recurrence differs from its term sum"
+            )
+        return lambda i: t[X - i], (), odd_double_factorial(2 * (S - K) - 1)
 
     return _weighted_count(x, y, factors, "count_s_paths({}, {}, {})", x, y, S)
 

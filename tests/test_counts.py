@@ -341,10 +341,9 @@ _XI_GRID = [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80,
     + [(100, 150, 20_000), (100, 1000, 20_000)],
 )
 def test_xi_row_matches_xi(X, Y, S):
-    # count_s_paths hands each shift the k = 0 term of shift 0 times
-    # perm(Y, i) / perm(Y + 2S, i), and the one xi evaluator sums by term
-    # ratios; the reference builds every term of every shift from fresh
-    # binomials
+    # count_s_paths takes every shift from one three-term recurrence in the
+    # shift, started at the closed k = 0 term of shift X; the reference
+    # builds every term of every shift from fresh binomials
     row = list(map(_xi_factor(X, Y, S), range(X + 1)))
     assert row == _xi_reference_row(X, Y, S)
     # xi takes the same evaluator with its own closed k = 0 term
@@ -392,7 +391,7 @@ def test_xi_head_divides_exactly(monkeypatch):
         counts._xi_head(3000, 20_000, 40)
 
 
-def test_s_paths_evaluates_xi_only_where_the_weight_is_nonzero(monkeypatch):
+def test_s_paths_evaluates_one_horner_sum(monkeypatch):
     calls = []
     real = counts._xi_from_head
     monkeypatch.setattr(
@@ -402,11 +401,53 @@ def test_s_paths_evaluates_xi_only_where_the_weight_is_nonzero(monkeypatch):
     row = weight_row(x, y)
     assert row.count(0) > x.rank // 2
     count_s_paths(x, y, 5)
-    assert sorted(x.rank - X for X in calls) == [i for i, v in enumerate(row) if v]
+    # every shift comes from the recurrence; the term sum runs once, at
+    # shift 0, to check where the recurrence ends
+    assert calls == [x.rank]
     calls.clear()
     with pytest.raises(ValueError, match="needs rank"):
         count_s_paths(y, x, 5)
     assert calls == []
+
+
+def test_xi_shift_recurrence_matches_oracle():
+    # Y xi(X, Y, S) = (2S + Y - X + 1) xi(X - 1, Y - 1, S)
+    #                 + (X - 1) xi(X - 2, Y - 2, S), the step count_s_paths
+    # takes from one shift to the one below; at X = 1 the last term is 0
+    for Y in range(1, 9):
+        for X in range(1, Y + 1):
+            for S in range(5):
+                below = (X - 1) * brute_xi(X - 2, Y - 2, S) if X > 1 else 0
+                assert Y * brute_xi(X, Y, S) == (2 * S + Y - X + 1) * brute_xi(
+                    X - 1, Y - 1, S
+                ) + below, (X, Y, S)
+
+
+@pytest.mark.parametrize("x, y, S", [("2212", "21212121", 5), ("1" * 80, "1" * 80, 20_000)])
+def test_s_paths_checks_the_recurrence_against_the_term_sum(monkeypatch, x, y, S):
+    x, y = w(x), w(y)
+    expected = count_s_paths(x, y, S)
+    # a term sum off by one disagrees with where the recurrence ends
+    real_sum = counts._xi_from_head
+    with monkeypatch.context() as mp:
+        mp.setattr(counts, "_xi_from_head", lambda *args: real_sum(*args) + 1)
+        with pytest.raises(InconsistencyError, match=r"^xi\(\d+, \d+, \d+, 0\) from the shift"):
+            count_s_paths(x, y, S)
+    # a recurrence start that is wrong, with shift 0's head intact: off by one
+    # it may leave a remainder in a shift's divide, doubled every divide is
+    # exact and only the check at shift 0 sees it
+    real_head = counts._xi_head
+    start = y.rank - x.rank
+    for fault in (lambda h: h + 1, lambda h: 2 * h):
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                counts,
+                "_xi_head",
+                lambda Y, S, K: fault(real_head(Y, S, K)) if Y == start else real_head(Y, S, K),
+            )
+            with pytest.raises(InconsistencyError, match=r"^xi\("):
+                count_s_paths(x, y, S)
+    assert count_s_paths(x, y, S) == expected
 
 
 def _random_word(rng, rank):
