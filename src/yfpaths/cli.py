@@ -4,7 +4,7 @@ Grammar::
 
     yf down X Y [--verify] [--json]            (rank X <= 1000, rank Y <= 3000)
     yf traj X Y DELTA [--verify] [--json]      (the same; <= 5000 steps, 1000 up, values <= 4000)
-    yf spaths X Y S [--verify] [--json]        (rank X <= 100, rank Y <= 3000, S <= 20000)
+    yf spaths X Y S [--verify] [--json]        (rank X <= 1000, rank Y <= 3000, S <= 20000)
     yf f X Y Z [--verify] [--json]             (rank X, Y, Z <= 10000)
     yf xi X Y S I [--verify] [--json]          (I <= X <= Y <= 10000, S <= 20000)
     yf level N [--json]                        (N <= 24)
@@ -255,9 +255,8 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # Largest inputs taken where the cost grows without bound in them, timed on a
 # 2-vCPU host.  A level holds F(N + 1) words, about 1.6 times as many per
 # rank: ``level 24`` takes 0.5-0.8 s and ~45 MB, and ``dot 20`` 0.6-1 s and
-# ~30 MB.  ``spaths`` and ``xi`` build (2S - 1)!!, whose digits grow as
-# S log S: S = 20000 takes ~0.3 s.  ``xi`` sums min(X / 2, S) terms through
-# one fraction of small-integer products, which grows with each term, and
+# ~30 MB.  ``xi`` sums min(X / 2, S) terms through one fraction of
+# small-integer products, which grows with each term, and
 # its value has ~2S log Y digits: X = Y = 10000 at S = 20000 takes ~0.8 s,
 # X = Y = 40000 ~4 s, and X = 0 with Y = 10^9 ~2 s.  The weight row of a
 # count grows as about rank(x)^3: at rank(x) 1000 it takes 0.2-0.4 s
@@ -267,12 +266,13 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # the cost grows with rank(y) too: with x = 1^1000 and y = 2^k 1^1000,
 # ``down`` takes 0.5-0.7 s at rank(y) 3000, ~0.9 s at 4000 and 1.3-1.7 s at
 # 5000, and ``traj`` with 1000 up-steps ~0.8, 1.0 and 1.9 s.  ``spaths``
-# takes the xi of every shift from one pass of a three-term recurrence,
-# rank(x) exact divides by a small integer of a number the size of
-# C(Y + 2S, Y) times K <= rank(x) / 2 odd factors below 2S, and runs one
-# such xi sum, at shift 0, to check it: rank(x) 100 at
-# S = 20000 takes ~0.17 s of wall time at rank(y) 150 and 0.20-0.22 s at
-# rank(y) 3000.  ``f`` walks the digits of x: ``f_rec``
+# adds to the row the xi of every shift, from one pass of a three-term
+# recurrence: rank(x) exact divides by a small integer of a number the size
+# of C(Y + 2S, Y) times K <= rank(x) / 2 odd factors below 2S, and one such
+# xi sum, at shift 0, to check it.  At rank(x) 1000 and S = 20000 it takes
+# 0.46 s of wall time with y = 1^3000 and 0.84-0.92 s with y = 2^1000 1^1000
+# (0.5-0.85 s at S = 0), printing included: str() of a count of ~90,000
+# digits takes ~0.13 s of that.  ``f`` walks the digits of x: ``f_rec``
 # takes up to ~0.11 s at rank(x) 10000 and ~0.4 s at 20000.  The closed form
 # that ``--verify`` adds is one pass over the g values of x: 1 ms at rank(x)
 # 1000, 3 ms at 2000 and ~0.08 s at 10000, so ``yf f 1^N N-1 N --verify``
@@ -288,7 +288,6 @@ RANK_CAP = 1000
 RANK_Y_CAP = 3000
 UP_STEP_CAP = 1000
 STEP_CAP = RANK_Y_CAP + 2 * UP_STEP_CAP  # descend from rank(y), and down again after each up-step
-SPATHS_RANK_CAP = 100
 F_RANK_CAP = 10_000
 XI_Y_CAP = 10_000
 VERIFY_RANK_CAP = 10
@@ -302,22 +301,22 @@ def _at_most(name: str, value: int, cap: int) -> int:
     return value
 
 
-def _words(a, rank_cap: int) -> tuple[Word, Word]:
-    """The query's words x and y, of rank within ``rank_cap`` and
+def _words(a) -> tuple[Word, Word]:
+    """The query's words x and y, of rank within ``RANK_CAP`` and
     ``RANK_Y_CAP``."""
     x, y = parse_word(a.x), parse_word(a.y)
-    _at_most("rank(x)", x.rank, rank_cap)
+    _at_most("rank(x)", x.rank, RANK_CAP)
     _at_most("rank(y)", y.rank, RANK_Y_CAP)
     return x, y
 
 
 def _down(a) -> tuple[object, Thunk]:
-    x, y = _words(a, RANK_CAP)
+    x, y = _words(a)
     return counts.count_down(x, y), lambda: oracle.brute_count_down(x, y)
 
 
 def _traj(a) -> tuple[object, Thunk]:
-    x, y = _words(a, RANK_CAP)
+    x, y = _words(a)
     _at_most("trajectory steps", a.delta.count(","), STEP_CAP)
     # a trajectory that can be answered starts at rank(y) and climbs at most
     # its up-steps higher
@@ -328,7 +327,7 @@ def _traj(a) -> tuple[object, Thunk]:
 
 
 def _spaths(a) -> tuple[object, Thunk]:
-    x, y = _words(a, SPATHS_RANK_CAP)
+    x, y = _words(a)
     s = _int_arg(a.s, "S", S_CAP)
     return counts.count_s_paths(x, y, s), lambda: oracle.brute_count_s(x, y, s)
 
@@ -391,15 +390,12 @@ _S = ("s", f"number of up-steps (at most {S_CAP})")
 _DELTA = (
     "delta", f"trajectory, e.g. 3,2,1,2, of at most {STEP_CAP} steps and {UP_STEP_CAP} up-steps"
 )
-_SPATHS_X = ("x", f"lower word, of rank at most {SPATHS_RANK_CAP}")
 _XI_Y = ("y", f"upper endpoint (at most {XI_Y_CAP})")
 
 COMMANDS = {
     "down": Command("count descending paths from Y to X", _down, (_X, _Y), _ORACLE),
     "traj": Command("count paths with a given rank profile", _traj, (_X, _Y, _DELTA), _ORACLE),
-    "spaths": Command(
-        "count paths with exactly S up-steps", _spaths, (_SPATHS_X, _Y, _S), _ORACLE
-    ),
+    "spaths": Command("count paths with exactly S up-steps", _spaths, (_X, _Y, _S), _ORACLE),
     "f": Command(
         "evaluate the lower weight function",
         _f,

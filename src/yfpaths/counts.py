@@ -14,17 +14,18 @@ binomials and odd double factorials.  Successive terms of such a sum differ
 by a ratio of a few small integers, so each ``xi`` is its k = 0 term,
 C(Y + 2S, Y) * (2S - 1)!!, times one fraction of small-integer products.
 Every term holds the odd double factorial (2(S - K) - 1)!! with
-K = min(X // 2, S), so the evaluator takes the k = 0 term over it, the head
+K = min(X // 2, S), which one evaluator picks and returns with the sum
+taken over that double factorial: it starts from the head
 C(Y + 2S, Y) * prod_{S - K < k <= S} (2k - 1), which one builder makes from
 its own factors, so no (2S - 1)!! is built only to be divided away.
 ``count_s_paths`` needs xi at every shift, which it takes from one
 three-term recurrence along the shift, started from the closed head of the
-last shift; ``xi``'s term sum of shift 0, over the same double factorial,
+last shift over the same double factorial; the evaluator's sum at shift 0
 checks where the recurrence ends.  ``xi`` and ``count_s_paths`` each
-multiply the double factorial back in once.  ``count_trajectory``'s factor is 0 at every shift that is an
-up-value, so the weight row leaves those entries unbuilt.  Every divide is
-checked to be exact, and every result to be a nonnegative integer before it
-is returned.
+multiply the double factorial back in once.  ``count_trajectory``'s factor
+is 0 at every shift that is an up-value, so the weight row leaves those
+entries unbuilt.  Every divide is checked to be exact, and every result to
+be a nonnegative integer before it is returned.
 """
 
 from __future__ import annotations
@@ -149,11 +150,9 @@ def _xi_head(Y: int, S: int, K: int) -> int:
     return comb(Y + 2 * S, Y) * odd
 
 
-def _xi_from_head(X: int, Y: int, S: int, head: int) -> int:
-    """xi(X, Y, S, 0) / d for Y >= X >= 0, given its k = 0 term over d,
-    head = xi_zero(Y, S) / d; d divides every term of the sum (``xi`` and
-    ``count_s_paths`` take d = (2(S - K) - 1)!! with K = min(X // 2, S), and
-    the head ``_xi_head(Y, S, K)``).
+def _xi_over(X: int, Y: int, S: int) -> tuple[int, int]:
+    """(xi(X, Y, S, 0) / d, K) for Y >= X >= 0, with K = min(X // 2, S) and
+    d = (2(S - K) - 1)!!, which divides every term of the sum.
 
     The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
     k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
@@ -161,7 +160,8 @@ def _xi_from_head(X: int, Y: int, S: int, head: int) -> int:
     times 1 + r_1 (1 + r_2 (1 + ...)), evaluated from the last k as one
     fraction p / q of small-integer products; from one k to the next,
     N + Y + 1 and X - 2k + 1 step by 2.  That fraction is reduced by its gcd,
-    and one exact divide of head times it finishes it.
+    and one exact divide of the head ``_xi_head(Y, S, K)``, the k = 0 term
+    over d, times it finishes it.
     """
     K = min(X // 2, S)
     p = q = 1
@@ -173,26 +173,23 @@ def _xi_from_head(X: int, Y: int, S: int, head: int) -> int:
         n += 2
         a += 2
     g = gcd(p, q)
-    return _exact(head * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S)
+    return _exact(_xi_head(Y, S, K) * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S), K
 
 
 def xi(X: int, Y: int, S: int, i: int = 0) -> int:
     """Sum over trajectories from Y to X with S up-steps of prod_j (e_j - i).
 
     Valid for Y >= X >= i >= 0.  Shifts to (X - i, Y - i, S, 0) and expands
-    as an alternating sum of K + 1 closed terms, K = min(floor((X - i) / 2), S),
-    each a multiple of (2(S - K) - 1)!!: the sum is taken over that double
-    factorial from the head ``_xi_head(Y - i, S, K)``, and the double
+    as an alternating sum of K + 1 closed terms, each a multiple of the
+    (2(S - K) - 1)!! that ``_xi_over`` takes the sum over; that double
     factorial is multiplied back once.
     """
     if not Y >= X >= i >= 0:
         raise ValueError(f"xi needs Y >= X >= i >= 0, got ({X}, {Y}, {S}, {i})")
     if S < 0:
         raise ValueError("S must be nonnegative")
-    K = min((X - i) // 2, S)
-    return odd_double_factorial(2 * (S - K) - 1) * _xi_from_head(
-        X - i, Y - i, S, _xi_head(Y - i, S, K)
-    )
+    value, K = _xi_over(X - i, Y - i, S)
+    return odd_double_factorial(2 * (S - K) - 1) * value
 
 
 def count_s_paths(x: Word, y: Word, S: int) -> int:
@@ -204,17 +201,18 @@ def count_s_paths(x: Word, y: Word, S: int) -> int:
     is holonomic along the shift; see Petkovsek, Wilf and Zeilberger, A = B),
     so T(0) = xi_zero(u, S), a closed head, fixes every shift in one pass of
     exact divides.  The pass ends at T(X), shift 0, which is checked against
-    the term sum of ``xi`` built from shift 0's own head.
+    the term sum of ``_xi_over``.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")
     X, Y = x.rank, y.rank
 
     def factors() -> tuple[Callable[[int], int], Collection[int], int]:
-        # every term of every shift's sum holds (2(S - k) - 1)!! with
-        # k <= K = min(X // 2, S), a multiple of (2(S - K) - 1)!!: every T(a)
-        # is taken over it, and the sum is multiplied by it once
-        K = min(X // 2, S)
+        # every term of every shift's sum holds (2(S - k) - 1)!! with k <= K,
+        # a multiple of the (2(S - K) - 1)!! that the term sum of shift 0 is
+        # taken over: every T(a) is taken over it too, and the sum is
+        # multiplied by it once
+        check, K = _xi_over(X, Y, S)
         u = Y - X
         c = 2 * S + u + 1
         t = [_xi_head(u, S, K)]
@@ -222,7 +220,7 @@ def count_s_paths(x: Word, y: Word, S: int) -> int:
             # at a = 1 the T(-1) term has coefficient 0
             prior = (a - 1) * t[a - 2] if a > 1 else 0
             t.append(_exact(c * t[a - 1] + prior, a + u, "xi({}, {}, {}, 0)", a, a + u, S))
-        if t[X] != _xi_from_head(X, Y, S, _xi_head(Y, S, K)):
+        if t[X] != check:
             raise InconsistencyError(
                 f"xi({X}, {Y}, {S}, 0) from the shift recurrence differs from its term sum"
             )

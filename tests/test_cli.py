@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import yfpaths.cli as cli
 import yfpaths.functions as functions
@@ -487,7 +491,7 @@ _CAP_CASES = [
         "count_s_paths",
         lambda n: ("1" * n, "e", "1"),
         "rank(x)",
-        cli.SPATHS_RANK_CAP,
+        cli.RANK_CAP,
     ),
     (
         "spaths",
@@ -898,3 +902,158 @@ def test_spaths_verify_agrees(capsys):
     code, out, _ = run(capsys, "spaths", "e", "22", "1", "--verify")
     assert code == 0
     assert out.splitlines() == ["45", "oracle: 45 (agree)"]
+
+
+# The CLI contract as one property over argv drawn from the COMMANDS table: a
+# new command, positional or cap is drawn without a new test.  Every cap of
+# the module is drawn, at itself and one past it.
+_CAPS = sorted({v for k, v in vars(cli).items() if k.endswith("_CAP") and type(v) is int})
+_SIZES = st.one_of(
+    st.integers(0, 12), st.sampled_from(_CAPS), st.sampled_from(_CAPS).map(lambda c: c + 1)
+)
+# Characters that no word takes: digits and signs an integer may take, one
+# that Python's int() reads as a digit (a non-ASCII digit) and one that
+# str.isdigit() passes but int() does not (a superscript)
+_STRAY = "03a,.- \té٣²"
+# A number of 10^k digits; past 10^5 it would not fit one argument of a
+# command line, which Linux caps at 131,072 bytes
+_LONG_NUMBERS = st.integers(0, 5).map(lambda k: "9" * 10**k)
+# Each call returns within this bound: the slowest calls measured, a formula
+# at its cap and then an oracle walk stopped by its work bound or by the
+# memory cap below (``traj`` with 1000 climbing up-steps at the word caps),
+# take up to ~3.7 s on a 2-vCPU host
+_CALL_SECONDS = 10.0
+# The oracle's work bound does not bound the memory of a walk whose fronts
+# widen as they are stepped (``down e 2^1500 --verify`` passes 1.5 GB), so
+# each call may map at most this much more; past it the CLI reports "out of
+# memory", one of the contract's exit-1 errors
+_HEADROOM = 512 << 20
+
+
+@contextlib.contextmanager
+def _memory_bounded():
+    """This process's address space capped at its present size plus
+    ``_HEADROOM``, where Linux reports that size, and restored after."""
+    try:
+        import resource
+
+        pages = int(Path("/proc/self/statm").read_text().split()[0])
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = pages * resource.getpagesize() + _HEADROOM
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@st.composite
+def _decorated(draw, text):
+    """``text`` as typed: as is, in spaces, with a stray character, or
+    replaced by the empty word or string."""
+    how = draw(st.sampled_from(("plain",) * 6 + ("spaces", "stray", "empty")))
+    if how == "spaces":
+        return draw(st.sampled_from((" ", "  "))) + text + draw(st.sampled_from(("", " ")))
+    if how == "stray":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(_STRAY)) + text[at:]
+    if how == "empty":
+        return draw(st.sampled_from(("", "e", " e ")))
+    return text
+
+
+def _word_of_rank(pattern, rank):
+    # the digits of ``pattern``, cycled until their sum is ``rank``; a 2 that
+    # would pass it is a 1
+    digits, total = [], 0
+    while total < rank:
+        d = min(int(pattern[len(digits) % len(pattern)]), rank - total)
+        digits.append(str(d))
+        total += d
+    return "".join(digits) or "e"
+
+
+@st.composite
+def _word(draw):
+    rank = draw(_SIZES)
+    word = _word_of_rank(draw(st.text("12", min_size=1, max_size=4)), rank)
+    return rank, draw(_decorated(word))
+
+
+# sizes three times as often as each other kind
+_SIZED = _SIZES.map(str)
+_INTEGER = st.one_of(
+    _SIZED,
+    _SIZED,
+    _SIZED,
+    _LONG_NUMBERS,
+    st.integers(-(10**4), -1).map(str),
+    _LONG_NUMBERS.map(lambda n: "-" + n),
+).flatmap(_decorated)
+
+
+@st.composite
+def _trajectory(draw, ranks):
+    """A walk from the first drawn rank down to the second, climbing by a
+    drawn number of up-steps first, or values drawn as integers."""
+    if len(ranks) == 2 and draw(st.booleans()):
+        top, bottom = ranks
+        ups = draw(_SIZES)
+        values = [*range(top, top + ups + 1), *range(top + ups - 1, bottom - 1, -1)]
+        return draw(_decorated(",".join(map(str, values))))
+    return ",".join(draw(st.lists(_INTEGER, max_size=5)))
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    command = cli.COMMANDS[name]
+    values, ranks = [], []
+    for _, help in command.positionals:
+        kind = "word" if "word" in help else "trajectory" if "trajectory" in help else "integer"
+        if draw(st.integers(0, 9)) == 0:  # now and then, a value of another kind
+            kind = draw(st.sampled_from(("word", "trajectory", "integer")))
+        if kind == "word":
+            rank, value = draw(_word())
+            ranks.append(rank)
+        elif kind == "trajectory":
+            value = draw(_trajectory(ranks[::-1]))
+        else:
+            value = draw(_INTEGER)
+        values.append(value)
+    flags = [flag for flag in ("--verify", "--json") if flag != "--verify" or command.verify]
+    # the flags first and the values after "--", so that argparse reads a
+    # value that starts with "-" as a value, not as an option
+    return [name, *draw(st.lists(st.sampled_from(flags), unique=True)), "--", *values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_every_query_answers_or_fails_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with _memory_bounded(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    seconds = time.perf_counter() - start
+    out, err = out.getvalue(), err.getvalue()
+    flags = argv[1 : argv.index("--")]
+    assert seconds < _CALL_SECONDS
+    assert code in ((0, 1, 2) if "--verify" in flags else (0, 1))
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("yf: error: ")
+        assert len(lines[0]) <= cli.ERROR_LINE_CAP
+    elif code == 0:
+        assert err == ""
+        if "--json" in flags:
+            assert len(out.splitlines()) == 1
+            assert json.loads(out)["command"] == argv[0]
+        else:
+            assert out.strip()

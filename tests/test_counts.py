@@ -393,10 +393,8 @@ def test_xi_head_divides_exactly(monkeypatch):
 
 def test_s_paths_evaluates_one_horner_sum(monkeypatch):
     calls = []
-    real = counts._xi_from_head
-    monkeypatch.setattr(
-        counts, "_xi_from_head", lambda X, *rest: calls.append(X) or real(X, *rest)
-    )
+    real = counts._xi_over
+    monkeypatch.setattr(counts, "_xi_over", lambda X, *rest: calls.append(X) or real(X, *rest))
     x, y = w("2212"), w("21212121")
     row = weight_row(x, y)
     assert row.count(0) > x.rank // 2
@@ -428,9 +426,14 @@ def test_s_paths_checks_the_recurrence_against_the_term_sum(monkeypatch, x, y, S
     x, y = w(x), w(y)
     expected = count_s_paths(x, y, S)
     # a term sum off by one disagrees with where the recurrence ends
-    real_sum = counts._xi_from_head
+    real_sum = counts._xi_over
+
+    def sum_off_by_one(*args):
+        value, K = real_sum(*args)
+        return value + 1, K
+
     with monkeypatch.context() as mp:
-        mp.setattr(counts, "_xi_from_head", lambda *args: real_sum(*args) + 1)
+        mp.setattr(counts, "_xi_over", sum_off_by_one)
         with pytest.raises(InconsistencyError, match=r"^xi\(\d+, \d+, \d+, 0\) from the shift"):
             count_s_paths(x, y, S)
     # a recurrence start that is wrong, with shift 0's head intact: off by one
