@@ -8,6 +8,13 @@ walking the (exponentially many) paths:
   trajectory;
 * ``count_s_paths(x, y, S)`` -- paths with exactly S up-steps.
 
+Each is sum_{i=0}^{rank x} weight(x, y, i) * c_i, which each count sums
+over its own integer row rank(x)! * weight (see :func:`weight_row`) and
+divides by rank(x)! once.  c_i is 1 for ``count_down``; prod_e (e - i) over
+the up-values for ``count_trajectory``, 0 at every shift that is an
+up-value, where the row is left unbuilt; and xi at shift i for
+``count_s_paths``.
+
 The trajectory dependence enters only through alternating sums over
 up-values, which collapse to the closed-form ``xi`` values built from
 binomials and odd double factorials.  Successive terms of such a sum differ
@@ -18,20 +25,18 @@ K = min(X // 2, S), which one evaluator picks and returns with the sum
 taken over that double factorial: it starts from the head
 C(Y + 2S, Y) * prod_{S - K < k <= S} (2k - 1), which one builder makes from
 its own factors, so no (2S - 1)!! is built only to be divided away.
-``count_s_paths`` needs xi at every shift, which it takes from one
-three-term recurrence along the shift, started from the closed head of the
-last shift over the same double factorial; the evaluator's sum at shift 0
-checks where the recurrence ends.  ``xi`` and ``count_s_paths`` each
-multiply the double factorial back in once.  ``count_trajectory``'s factor
-is 0 at every shift that is an up-value, so the weight row leaves those
-entries unbuilt.  Every divide is checked to be exact, and every result to
-be a nonnegative integer before it is returned.
+``_xi_shifts`` gives xi at every shift from one three-term recurrence along
+the shift, started from the closed head of the last shift over the same
+double factorial; the evaluator's sum at shift 0 checks where the
+recurrence ends.  ``xi`` and ``count_s_paths`` each multiply the double
+factorial back in once.  Every divide is checked to be exact, and every
+result to be a nonnegative integer before it is returned.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Collection
+from collections.abc import Collection
 from math import comb, factorial, gcd, perm, prod
 
 from .functions import InconsistencyError, g_values, weight_row
@@ -70,34 +75,19 @@ def _as_count(total: int, what: str, *args: object, scale: int = 1) -> int:
     return value
 
 
-def _weighted_count(
-    x: Word,
-    y: Word,
-    factors: Callable[[], tuple[Callable[[int], int], Collection[int], int]],
-    what: str,
-    *args: object,
-) -> int:
-    """sum_{i=0}^{rank x} weight(x, y, i) * c_i, checked to be a count.
-
-    All three counts share this shape; only the factor c_i differs.  The rank
-    order is checked first, and only then is the factor built, by
-    ``factors()``, as (c, zeros, common): c_i = common * c(i), and c(i) is 0
-    at every i in ``zeros``.  The sum runs over the integer row
-    rank(x)! * weight, built with the entries in ``zeros`` left 0 (see
-    :func:`weight_row`), and calls c only where that row is nonzero.  It is
-    multiplied by common and divided by rank(x)! once, at the end.
-    """
+def _row(x: Word, y: Word, skip: Collection[int], what: str, *args: object) -> list[int]:
+    """weight_row(x, y, skip), once the rank order of the query is checked,
+    before any factor of it is built."""
     if y.rank < x.rank:
         raise ValueError(f"{what.format(*args)} needs rank({y}) >= rank({x})")
-    factor, zeros, common = factors()
-    row = weight_row(x, y, zeros)
-    total = sum(w * factor(i) for i, w in enumerate(row) if w)
-    return _as_count(total * common, what, *args, scale=factorial(x.rank))
+    return weight_row(x, y, skip)
 
 
 def count_down(x: Word, y: Word) -> int:
-    """Number of rank-decreasing paths from y down to x."""
-    return _weighted_count(x, y, lambda: (lambda i: 1, (), 1), "count_down({}, {})", x, y)
+    """Number of rank-decreasing paths from y down to x: the weight row's sum
+    over rank(x)!."""
+    what = "count_down({}, {})"
+    return _as_count(sum(_row(x, y, (), what, x, y)), what, x, y, scale=factorial(x.rank))
 
 
 def count_down_from_top(x: Word) -> int:
@@ -106,26 +96,29 @@ def count_down_from_top(x: Word) -> int:
 
 
 def count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
-    """Number of paths from y to x whose rank profile equals ``t``."""
+    """Number of paths from y to x whose rank profile equals ``t``: the
+    weight row summed against prod_e (e - i) over the up-values e of t."""
     if t.start != y.rank or t.end != x.rank:
         raise ValueError(
             f"trajectory endpoints ({t.start}, {t.end}) do not match "
             f"ranks ({y.rank}, {x.rank})"
         )
+    what = "count_trajectory({}, {}, {})"
+    ups = Counter(t.up_values)
+    row = _row(x, y, ups, what, x, y, t)
     # prod_e (e - i) over the up-values, as one power per multiplicity m of
     # the product of the up-values that occur m times; it is 0 at every
-    # shift i that is an up-value, so the row skips those
-    ups = Counter(t.up_values)
+    # shift i that is an up-value, where the row is left 0
     by_count: dict[int, list[int]] = {}
     for e, m in ups.items():
         by_count.setdefault(m, []).append(e)
     groups = by_count.items()
-    return _weighted_count(
-        x,
-        y,
-        lambda: (lambda i: prod(pow(prod(e - i for e in es), m) for m, es in groups), ups, 1),
-        "count_trajectory({}, {}, {})", x, y, t,
+    total = sum(
+        w * prod(pow(prod(e - i for e in es), m) for m, es in groups)
+        for i, w in enumerate(row)
+        if w
     )
+    return _as_count(total, what, x, y, t, scale=factorial(x.rank))
 
 
 def odd_double_factorial(n: int) -> int:
@@ -192,41 +185,48 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
     return odd_double_factorial(2 * (S - K) - 1) * value
 
 
+def _xi_shifts(X: int, Y: int, S: int) -> tuple[list[int], int]:
+    """([T(a) / d for a in 0..X], d) for Y >= X >= 0, where
+    T(a) = xi(a, a + u, S, 0) with u = Y - X is the xi of shift X - a, and
+    d = (2(S - K) - 1)!! with K = min(X // 2, S).
+
+    T obeys (a + u) T(a) = (2S + u + 1) T(a - 1) + (a - 1) T(a - 2) for a >= 1
+    (xi is holonomic along the shift; see Petkovsek, Wilf and Zeilberger,
+    A = B), so T(0) = xi_zero(u, S), a closed head, fixes every shift in one
+    pass of exact divides.  Every term of every shift's sum holds
+    (2(S - k) - 1)!! with k <= K, a multiple of d, so every T(a) is taken
+    over d, and the pass starts from ``_xi_head(u, S, K)``.  It ends at
+    T(X), shift 0, which is checked against the term sum of ``_xi_over``.
+    """
+    check, K = _xi_over(X, Y, S)
+    u = Y - X
+    c = 2 * S + u + 1
+    t = [_xi_head(u, S, K)]
+    for a in range(1, X + 1):
+        # at a = 1 the T(-1) term has coefficient 0
+        prior = (a - 1) * t[a - 2] if a > 1 else 0
+        t.append(_exact(c * t[a - 1] + prior, a + u, "xi({}, {}, {}, 0)", a, a + u, S))
+    if t[X] != check:
+        raise InconsistencyError(
+            f"xi({X}, {Y}, {S}, 0) from the shift recurrence differs from its term sum"
+        )
+    return t, odd_double_factorial(2 * (S - K) - 1)
+
+
 def count_s_paths(x: Word, y: Word, S: int) -> int:
     """Number of paths from y to x with exactly S up-steps.
 
     The factor of shift i is xi(X - i, Y - i, S, 0), X = rank(x) and
-    Y = rank(y).  With u = Y - X fixed, T(a) = xi(a, a + u, S, 0) obeys
-    (a + u) T(a) = (2S + u + 1) T(a - 1) + (a - 1) T(a - 2) for a >= 1 (xi
-    is holonomic along the shift; see Petkovsek, Wilf and Zeilberger, A = B),
-    so T(0) = xi_zero(u, S), a closed head, fixes every shift in one pass of
-    exact divides.  The pass ends at T(X), shift 0, which is checked against
-    the term sum of ``_xi_over``.
+    Y = rank(y): ``_xi_shifts`` gives every shift's over one double
+    factorial d, which multiplies the sum once.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")
-    X, Y = x.rank, y.rank
-
-    def factors() -> tuple[Callable[[int], int], Collection[int], int]:
-        # every term of every shift's sum holds (2(S - k) - 1)!! with k <= K,
-        # a multiple of the (2(S - K) - 1)!! that the term sum of shift 0 is
-        # taken over: every T(a) is taken over it too, and the sum is
-        # multiplied by it once
-        check, K = _xi_over(X, Y, S)
-        u = Y - X
-        c = 2 * S + u + 1
-        t = [_xi_head(u, S, K)]
-        for a in range(1, X + 1):
-            # at a = 1 the T(-1) term has coefficient 0
-            prior = (a - 1) * t[a - 2] if a > 1 else 0
-            t.append(_exact(c * t[a - 1] + prior, a + u, "xi({}, {}, {}, 0)", a, a + u, S))
-        if t[X] != check:
-            raise InconsistencyError(
-                f"xi({X}, {Y}, {S}, 0) from the shift recurrence differs from its term sum"
-            )
-        return lambda i: t[X - i], (), odd_double_factorial(2 * (S - K) - 1)
-
-    return _weighted_count(x, y, factors, "count_s_paths({}, {}, {})", x, y, S)
+    what = "count_s_paths({}, {}, {})"
+    row = _row(x, y, (), what, x, y, S)
+    shifts, d = _xi_shifts(x.rank, y.rank, S)
+    total = sum(w * xi_i for w, xi_i in zip(row, reversed(shifts)) if w)
+    return _as_count(total * d, what, x, y, S, scale=factorial(x.rank))
 
 
 def count_s_paths_from_top(x: Word, S: int) -> int:

@@ -195,6 +195,10 @@ def test_usage_errors_exit_one(capsys):
         ("xi", "2", "3", "1", "3"),
         ("level", "-1"),
         ("dot", "-1"),
+        # the oracle walks this trajectory upward from y and would count 3
+        # paths; the library's rank-order check comes first, so nothing
+        # disagrees
+        ("traj", "22", "1", "1,2,3,4", "--verify"),
     ],
 )
 def test_library_range_errors_exit_one(capsys, argv):
@@ -275,6 +279,28 @@ def test_int_arg_counts_digits_past_the_parse_limit(capsys):
     assert run(capsys, "level", "0" * 5000 + "3") == (0, "111\n12\n21\n", "")
     with pytest.raises(ValueError, match="^S must be at most 5, got a 14285-bit number$"):
         cli._int_arg("9" * 4300, "S", 5)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("-" + "7" * 999_999, "S must be nonnegative, got a negative 999999-digit number"),
+        ("+" + "7" * 999_999, "S must be at most 20000, got a 999999-digit number"),
+        (" " + "7" * 999_999, "S must be at most 20000, got a 999999-digit number"),
+        ("_" + "7" * 999_999, "S must be at most 20000, got a 999999-digit number"),
+    ],
+    ids=["minus", "plus", "space", "underscore"],
+)
+def test_int_arg_rejects_a_long_signed_number_unparsed(capsys, text, want):
+    # int() takes time quadratic in the length of such text (7 s for a
+    # negative of 10^6 digits); its length alone rejects it
+    assert len(text) == 1_000_000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spaths", "e", "1", text)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"yf: error: {want}"]
+    assert len(err.splitlines()[0]) <= cli.ERROR_LINE_CAP
 
 
 def _parse_int_in_chunks(text):
@@ -723,11 +749,11 @@ def test_verify_detects_injected_fault(capsys):
         functions.clear_caches()
         oracle.clear_caches()
         sections = run_verification(max_rank=3, max_s=1)
-        failures = [failure for s in sections for failure in s.failures]
+        failures = [failure for s in sections for failure in s["failures"]]
         assert failures
         assert any("(" in failure for failure in failures)
-        [down] = [s for s in sections if s.name == "down-paths"]
-        assert down.failures
+        [down] = [s for s in sections if s["name"] == "down-paths"]
+        assert down["failures"]
         code, out, _ = run(capsys, "verify", "--max-rank", "3", "--max-S", "1")
         assert code == 2
         assert "FAIL" in out
@@ -778,9 +804,9 @@ _VERIFY_SECTIONS = {
 )
 def test_verify_section_counts(caps, total):
     sections = run_verification(*caps)
-    assert [(s.name, s.checks, s.skipped) for s in sections] == _VERIFY_SECTIONS[caps]
-    assert sum(s.checks for s in sections) == total
-    assert all(s.failures == [] for s in sections)
+    assert [(s["name"], s["checks"], s["skipped"]) for s in sections] == _VERIFY_SECTIONS[caps]
+    assert sum(s["checks"] for s in sections) == total
+    assert all(s["failures"] == [] for s in sections)
 
 
 _WORDS_TO_3 = [w for n in range(4) for w in level(n)]
@@ -800,7 +826,8 @@ def test_verify_catches_off_by_one_counts(monkeypatch, name, section, cases):
     # each failure label starts with its case
     original = getattr(cli.counts, name)
     monkeypatch.setattr(cli.counts, name, lambda *a: original(*a) + 1)
-    failed = {s.name: s.failures for s in run_verification(max_rank=3, max_s=1) if s.failures}
+    sections = run_verification(max_rank=3, max_s=1)
+    failed = {s["name"]: s["failures"] for s in sections if s["failures"]}
     assert list(failed) == [section]
     labels = [f"({', '.join(map(str, case))}): " for case in cases]
     assert len(failed[section]) == len(labels)

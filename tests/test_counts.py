@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, prod
@@ -277,6 +278,16 @@ def test_failed_checks_name_the_query(monkeypatch):
         count_s_paths(x, y, 0)
 
 
+def test_trajectory_checks_the_rank_order_before_the_row(monkeypatch):
+    # the endpoints match the ranks, so only the rank order is wrong; an
+    # upward trajectory from y to x would count upward paths, not descents
+    monkeypatch.setattr(counts, "weight_row", lambda *args: pytest.fail("weight_row called"))
+    with pytest.raises(
+        ValueError, match=r"^count_trajectory\(22, 1, 1,2,3,4\) needs rank\(1\) >= rank\(22\)$"
+    ):
+        count_trajectory(w("22"), w("1"), Trajectory((1, 2, 3, 4)))
+
+
 def test_xi_recurrence_in_first_argument():
     # descending recurrence: value at X from values at X-1 and X-2
     for Y in range(2, 7):
@@ -319,17 +330,13 @@ def _xi_reference_row(X, Y, S):
 
 
 def _xi_factor(X, Y, S):
-    """The factor i -> xi(X, Y, S, i) that count_s_paths builds for words of
-    ranks X <= Y, taken before any weight is known, so every shift can be
-    called; the double factorial that count_s_paths takes out of every shift
-    is multiplied back in."""
-    factors = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counts, "_weighted_count", lambda x, y, build, *label: factors.append(build))
-        count_s_paths(Word((1,) * X), Word((1,) * Y), S)
-    factor, _, common = factors[0]()
+    """The factor i -> xi(X, Y, S, i) that count_s_paths takes for words of
+    ranks X <= Y, from every shift ``_xi_shifts`` gives; the double factorial
+    it takes out of every shift is multiplied back in."""
+    shifts, common = counts._xi_shifts(X, Y, S)
+    assert len(shifts) == X + 1
     assert common == odd_double_factorial(2 * (S - min(X // 2, S)) - 1)
-    return lambda i: common * factor(i)
+    return lambda i: common * shifts[X - i]
 
 
 _XI_GRID = [(0, 0), (0, 160), (1, 1), (2, 9), (17, 17), (30, 45), (80, 80), (80, 160)]
@@ -579,7 +586,7 @@ def _dipping_trajectory(rng, X, Y):
 @pytest.mark.parametrize("seed", range(4))
 def test_trajectory_walks_and_factors_no_up_value(monkeypatch, seed):
     # the factor prod_e (e - i) is 0 at every shift i that is an up-value, so
-    # the row runs no walk there and the factor is not called there
+    # the row runs no walk there and the factor is not taken there
     rng = random.Random(seed)
     X = rng.randint(20, 40)
     Y = X + rng.randint(1, 10)
@@ -591,22 +598,21 @@ def test_trajectory_walks_and_factors_no_up_value(monkeypatch, seed):
     monkeypatch.setattr(
         functions, "_lagrange_walk", lambda d, r, i, *rest: walked.append(i) or walk(d, r, i, *rest)
     )
-    weighted_count = counts._weighted_count
 
-    def counted(x, y, factors, *label):
-        def counted_factors():
-            factor, zeros, common = factors()
-            return (lambda i: factored.append(i) or factor(i)), zeros, common
+    class UpValue(int):
+        # at each shift i it is taken at, the factor takes e - i once per
+        # distinct up-value e
+        def __sub__(self, i):
+            factored.append(i)
+            return int(self) - i
 
-        return weighted_count(x, y, counted_factors, *label)
-
-    monkeypatch.setattr(counts, "_weighted_count", counted)
+    monkeypatch.setattr(counts, "Counter", lambda values: Counter(map(UpValue, values)))
     total = count_trajectory(x, y, t)
     monkeypatch.undo()
     assert ups & set(accumulate(reversed(x.digits), initial=0))  # some walks are skipped
     assert walked and not ups.intersection(walked)
     row = weight_row(x, y)
-    assert factored == [i for i, v in enumerate(row) if v and i not in ups]
+    assert factored == [i for i, v in enumerate(row) if v and i not in ups for _ in ups]
     assert total > 0
     assert total == _first_step_split(x, y, t) == _ungrouped_count(x, y, t)
 
