@@ -267,7 +267,7 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # ``yf f 2^5000 10000 5000 --verify`` ~0.2 s.  The oracle bounds its own work
 # (``oracle.WORK_CAP``), so ``--verify`` adds no cap.
 # Each ``verify`` rank costs up to ~2.2 times the one below, and each S past 3
-# up to ~1.2 times: (10, 5) takes ~2 s.
+# up to ~1.2 times: (10, 5) takes 0.85-0.9 s in-process.
 LEVEL_RANK_CAP = 24
 DOT_RANK_CAP = 20
 S_CAP = 20_000

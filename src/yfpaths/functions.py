@@ -11,26 +11,32 @@ Two scalar functions drive all path counts:
 
 Their combination ``weight(x, y, i) = f(x, i, h) * prod_j (g(y, j) - i)``,
 with h the common-suffix length, is the coefficient array of the counting
-formulas.  Everything is exact: values are ``fractions.Fraction``, except
-``weight_row``, which gives rank(x)! * weight(x, y, i) for every i as plain
-integers for the counts.  ``fractions`` is imported by the first f value
-built (see :func:`Fraction`), not with this module, so a count, which needs
-only ``weight_row``, never loads it.
+formulas.  Everything is exact.  The public values are
+``fractions.Fraction``; the rest are plain integers: ``weight_row`` gives
+rank(x)! * weight(x, y, i) for every i to the counts, and the identity
+suites of :mod:`yfpaths.invariants` read f as (num, den) pairs (``f_row`` a
+whole row of them at one z, ``f_rows`` the rows at every z, ``_f_pair`` one
+entry) and f_base as the product it is the reciprocal of (``_base_den``).
+``fractions`` is imported by the first ``Fraction`` built (see
+:func:`Fraction`), not with this module, so neither a count nor ``verify``
+ever loads it.
 
-``f_rec`` and ``weight_row`` share one evaluation of the recursion.  The g
-values of x are the m in 0..rank(x) that no suffix digit sum of x hits, so
-rank(x)! * f_base(x, i) is (-1)^i C(rank, i) prod_g (g - i) at a suffix sum
-i and 0 elsewhere.  The recursion from there strips digits of x's suffix and
-divides by (g - i)^2 at each 2; one backward walk over those digits
-(``_walk``) sums it times the factors it would divide by.  Both evaluators
-take that start and walk from one helper (``_lagrange_walk``), so neither
-divides until ``f_rec`` builds its ``Fraction`` (memoized, the one memo
-here), and the row multiplies in only the factors that remain.
+``_f_pair``, behind ``f_rec`` and the rows, and ``weight_row`` share one
+evaluation of the recursion.  The g values of x are the m in 0..rank(x)
+that no suffix digit sum of x hits, so rank(x)! * f_base(x, i) is
+(-1)^i C(rank, i) prod_g (g - i) at a suffix sum i and 0 elsewhere.  The
+recursion from there strips digits of x's suffix and divides by (g - i)^2
+at each 2; one backward walk over those digits (``_walk``) sums it times
+the factors it would divide by.  Both evaluators take that start and walk
+from one helper (``_lagrange_walk``), so neither divides: ``_f_pair``
+leaves the divisors in its den, which ``f_rec`` reduces into a memoized
+``Fraction`` (the one memo here), and the row multiplies in only the
+factors that remain.
 
 ``f_base`` takes its suffix split from :func:`yfpaths.words.suffix_split`,
-and the closed form reads only ``f_base`` and the g values; ``_f_rec`` and
-``weight_row`` find their splits by their own scans, so ``f --verify``
-compares two evaluators written apart.
+and the closed form reads only ``f_base`` and the g values; ``_f_rec``, the
+rows and ``weight_row`` find their splits by their own scans, so
+``f --verify`` compares two evaluators written apart.
 """
 
 from __future__ import annotations
@@ -45,9 +51,9 @@ from .words import Word, common_suffix_len, suffix_split
 
 def Fraction(*args):
     """``fractions.Fraction``, imported by the first f value built: a count
-    builds none, so it never imports ``fractions`` (nor the ``decimal`` that
-    imports).  That first call rebinds this name to the class, so no later
-    one pays for an import statement."""
+    or ``verify`` builds none, so neither imports ``fractions`` (nor the
+    ``decimal`` that imports).  That first call rebinds this name to the
+    class, so no later one pays for an import statement."""
     global Fraction
     from fractions import Fraction
 
@@ -107,10 +113,17 @@ def f_base(x: Word, y: int) -> Fraction:
     """
     if not 0 <= y <= x.rank:
         raise ValueError(f"f argument y={y} out of range 0..{x.rank} for {x}")
+    den = _base_den(x, y)
+    return Fraction(1, den) if den else Fraction(0)
+
+
+def _base_den(x: Word, y: int) -> int:
+    """The product whose reciprocal is f_base(x, y), or 0 where f_base(x, y)
+    is 0; y must lie in 0..rank(x)."""
     digits = x.digits
     split, s = suffix_split(digits, y)
     if s != y:
-        return Fraction(0)
+        return 0
     den = 1
     run = 0
     for k in range(split, len(digits)):
@@ -120,7 +133,7 @@ def f_base(x: Word, y: int) -> Fraction:
     for k in range(split - 1, -1, -1):
         run += digits[k]
         den *= run
-    return Fraction(1, den)
+    return den
 
 
 def _walk(digits: tuple[int, ...], a: int) -> int:
@@ -159,11 +172,27 @@ def _lagrange_walk(digits: tuple[int, ...], rank: int, i: int, m: int, s: int) -
     return (-1) ** i * comb(rank, i) * v, s - m
 
 
+def _f_pair(digits: tuple[int, ...], rank: int, y: int, m: int, s: int) -> tuple[int, int]:
+    """f(x, y, z) as (num, den), den nonzero, for the x with these digits and
+    rank: the chain of the recursion strips x's last m = min(k, z) digits,
+    of sum s, k being the most last digits whose sum stays <= y.
+
+    rank! f_base(x, y) is (-1)^y C(rank, y) prod_g (g - y) (see weight_row),
+    and each of the t 2s the chain strips divides it by one (g - y)^2.  Where
+    no suffix sums to y (the last k digits sum to y - 1), y is the g value of
+    the 2 left of them, which the chain never strips, so num keeps the
+    factor g - y = 0.
+    """
+    lead, t = _lagrange_walk(digits, rank, y, m, s)
+    diffs = _g_less(digits, y)
+    if not t:  # the chain strips no 2, so there is no divisor to split off
+        return lead * prod(diffs), factorial(rank)
+    return lead * prod(diffs[t:]), factorial(rank) * prod(diffs[:t])
+
+
 @lru_cache(maxsize=1 << 15)
 def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
-    # rank! f_base(x, y) is (-1)^y C(rank, y) prod_g (g - y) (see weight_row),
-    # and it and every term of the chain are 0 when no suffix sums to y; each
-    # of the t 2s the chain strips divides it by one (g - y)^2
+    # every term of the chain is 0 when no suffix sums to y
     n = len(digits)
     k = s = 0  # the last k digits sum to s
     while s < y:
@@ -171,11 +200,8 @@ def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
         s += digits[n - k]
     if s != y:
         return Fraction(0)
-    rank = sum(digits)
     m = min(k, z)  # the digits the chain strips
-    lead, t = _lagrange_walk(digits, rank, y, m, sum(digits[n - m:]))
-    diffs = _g_less(digits, y)
-    return Fraction(lead * prod(diffs[t:]), factorial(rank) * prod(diffs[:t]))
+    return Fraction(*_f_pair(digits, sum(digits), y, m, sum(digits[n - m:])))
 
 
 def f_rec(x: Word, y: int, z: int) -> Fraction:
@@ -183,6 +209,39 @@ def f_rec(x: Word, y: int, z: int) -> Fraction:
     walk (bounded memo)."""
     _validate_key(x, y, z)
     return _f_rec(x.digits, y, z)
+
+
+def f_row(x: Word, z: int) -> list[tuple[int, int]]:
+    """[f(x, y, z) as (num, den) for y in 0..rank(x)], by the evaluator of
+    :func:`f_rec`: (0, 1) where no suffix of x sums to y.  No ``Fraction``
+    is built, and x's suffix sums are found once for the whole row; z must
+    lie in 0..digits(x)."""
+    digits = x.digits
+    rank = x.rank
+    sums = list(accumulate(reversed(digits), initial=0))
+    row = [(0, 1)] * (rank + 1)
+    for k, y in enumerate(sums):
+        m = min(k, z)  # the digits the chain strips
+        row[y] = _f_pair(digits, rank, y, m, sums[m])
+    return row
+
+
+def f_rows(x: Word) -> list[list[tuple[int, int]]]:
+    """[f_row(x, z) for z in 0..digits(x)], each entry evaluated once: it
+    depends on z only through the digits its chain strips, m = min(k, z), so
+    the row at z is the one at z - 1 with the entries of k >= z taken at
+    m = z."""
+    digits = x.digits
+    rank = x.rank
+    sums = list(accumulate(reversed(digits), initial=0))
+    row = [(0, 1)] * (rank + 1)
+    rows = []
+    for z, s in enumerate(sums):
+        row = row.copy()
+        for y in sums[z:]:
+            row[y] = _f_pair(digits, rank, y, z, s)
+        rows.append(row)
+    return rows
 
 
 def f_explicit(x: Word, y: int, z: int) -> Fraction:

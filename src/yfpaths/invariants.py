@@ -3,27 +3,46 @@
 Each checker sweeps every word up to a digit-count bound, evaluates both
 sides of one identity with exact arithmetic, and yields one outcome per
 check: True, or a label describing the failure.  :func:`tally` counts them.
+f is read as integer (num, den) pairs: a row at a time where a suite reads
+every y (``f_row`` at one z, ``f_rows`` at every z), one entry (``_f_pair``)
+where it reads one, and f_base as the product it is the reciprocal of
+(``_base_den``).  So each check is integer arithmetic, mostly one
+cross-multiplication, and no ``Fraction`` is built.  A suite that reads a
+word's values in more than one role evaluates them once.
 They back the `verify` command and the acceptance suite; an empty failure
 list is the expected outcome on a correct build.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, product
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
-from .functions import f_base, f_rec, g_product, g_values
+from .functions import _base_den, _f_pair, f_row, f_rows, g_product, g_values
 from .words import EPSILON, Word, common_suffix_len
 
 Outcomes = Iterator[bool | str]  # each check: True, or its failure label
+Pair = tuple[int, int]  # a rational as (num, den), den nonzero
 
 
-def _products_equal(a: Fraction, m: int, b: Fraction, n: int) -> bool:
-    """a * m == b * n, by cross-multiplying: exact, without the gcd that
-    building either product as a Fraction costs."""
-    return a.numerator * m * b.denominator == b.numerator * n * a.denominator
+def _products_equal(a: Pair, m: int, b: Pair, n: int) -> bool:
+    """a * m == b * n, by cross-multiplying: exact, with no Fraction built."""
+    return a[0] * m * b[1] == b[0] * n * a[1]
+
+
+def _base_row(x: Word) -> list[Pair]:
+    """[f_base(x, y) as a pair for y in 0..rank(x)]."""
+    dens = [_base_den(x, y) for y in range(x.rank + 1)]
+    return [(1, den) if den else (0, 1) for den in dens]
+
+
+def _f_at(x: Word, sums: list[int], y: int, z: int) -> Pair:
+    """f(x, y, z) as a pair, ``sums`` being x's suffix sums, whether or not
+    one of them is y (see :func:`yfpaths.functions._f_pair`)."""
+    m = min(bisect_right(sums, y) - 1, z)
+    return _f_pair(x.digits, x.rank, y, m, sums[m])
 
 
 def words_up_to_digits(max_digits: int) -> Iterator[Word]:
@@ -36,20 +55,28 @@ def words_up_to_digits(max_digits: int) -> Iterator[Word]:
 
 def check_base_shift_identities(max_digits: int) -> Outcomes:
     """Appending or prepending a digit rescales the z = 0 values linearly."""
+    rows: dict[tuple[int, ...], list[Pair]] = {}
+
+    def row(digits: tuple[int, ...]) -> list[Pair]:
+        # a word is read as x, as x + 1, as x + 2 and as a + x
+        if digits not in rows:
+            rows[digits] = _base_row(Word(digits))
+        return rows[digits]
+
     for x in words_up_to_digits(max_digits):
-        x1 = Word(x.digits + (1,))
-        for y in range(1, x1.rank + 1):
-            holds = _products_equal(f_base(x1, y), -y, f_base(x, y - 1), 1)
+        fx, f1 = row(x.digits), row(x.digits + (1,))
+        for y in range(1, x.rank + 2):
+            holds = _products_equal(f1[y], -y, fx[y - 1], 1)
             yield holds or f"append-1 at ({x}, y={y})"
-        x2 = Word(x.digits + (2,))
-        x11 = Word(x.digits + (1, 1))
-        for y in range(x2.rank + 1):
-            holds = _products_equal(f_base(x11, y), 1 - y, f_base(x2, y), 1)
+        f2, f11 = row(x.digits + (2,)), row(x.digits + (1, 1))
+        for y in range(x.rank + 3):
+            holds = _products_equal(f11[y], 1 - y, f2[y], 1)
             yield holds or f"append-2 at ({x}, y={y})"
         for a0 in (1, 2):
-            ax = Word((a0,) + x.digits)
+            fa = row((a0,) + x.digits)
             for y in range(x.rank + 1):
-                holds = _products_equal(f_base(ax, y), ax.rank - y, f_base(x, y), 1)
+                # rank(ax) - y
+                holds = _products_equal(fa[y], x.rank + a0 - y, fx[y], 1)
                 yield holds or f"prepend-{a0} at ({x}, y={y})"
 
 
@@ -57,43 +84,63 @@ def check_low_order_values(max_digits: int) -> Outcomes:
     """f(x, 0, z) does not depend on z; f(x, 1, z) = 0 for z >= 1; and
     f(x, 1, 0) = 0 when x ends in 2."""
     for x in words_up_to_digits(max_digits):
-        base = f_rec(x, 0, 0)
+        sums = list(accumulate(reversed(x.digits), initial=0))
+        base = _f_at(x, sums, 0, 0)
         for z in range(x.digit_count + 1):
-            yield f_rec(x, 0, z) == base or f"y=0 z-dependence at ({x}, z={z})"
+            holds = _products_equal(_f_at(x, sums, 0, z), 1, base, 1)
+            yield holds or f"y=0 z-dependence at ({x}, z={z})"
             if x.rank >= 1 and z >= 1:
-                yield f_rec(x, 1, z) == 0 or f"y=1 nonzero at ({x}, z={z})"
+                yield _f_at(x, sums, 1, z)[0] == 0 or f"y=1 nonzero at ({x}, z={z})"
         if x.digits and x.digits[-1] == 2:
-            yield f_rec(x, 1, 0) == 0 or f"trailing-2 y=1 nonzero at {x}"
+            yield _f_at(x, sums, 1, 0)[0] == 0 or f"trailing-2 y=1 nonzero at {x}"
 
 
 def check_two_vs_one_one(max_digits: int) -> Outcomes:
     """A trailing 2 at z = 0 evaluates like a trailing 11 at z = 1."""
     for x in words_up_to_digits(max_digits):
-        x2 = Word(x.digits + (2,))
-        x11 = Word(x.digits + (1, 1))
-        for i in range(x2.rank + 1):
-            yield f_base(x2, i) == f_rec(x11, i, 1) or f"trailing 2 vs 11 at ({x}, i={i})"
+        columns = zip(_base_row(Word(x.digits + (2,))), f_row(Word(x.digits + (1, 1)), 1))
+        for i, (f2, f11) in enumerate(columns):
+            holds = _products_equal(f2, 1, f11, 1)
+            yield holds or f"trailing 2 vs 11 at ({x}, i={i})"
 
 
 def check_base_row_sum(max_digits: int) -> Outcomes:
-    """The z = 0 values of a nonempty word sum to zero over y."""
+    """The z = 0 values of a nonempty word sum to zero over y: rank! times
+    each is an integer, so the check sums rank!/den, each divide exact."""
     for x in words_up_to_digits(max_digits):
         if x == EPSILON:
             continue
-        yield sum(f_base(x, i) for i in range(x.rank + 1)) == 0 or f"row sum nonzero at {x}"
+        scale = factorial(x.rank)
+        total, exact = 0, True
+        for i in range(x.rank + 1):
+            den = _base_den(x, i)
+            if den:
+                q, r = divmod(scale, den)
+                total += q
+                exact = exact and not r
+        yield (exact and total == 0) or f"row sum nonzero at {x}"
 
 
 def check_prefix_extension(max_digits: int) -> Outcomes:
     """Prepending a digit rescales f at every z, not just z = 0."""
+    rows: dict[tuple[int, ...], list[list[Pair]]] = {}
+
+    def rows_of(digits: tuple[int, ...]) -> list[list[Pair]]:
+        # a word is read both as x and as the extension of its own suffix
+        if digits not in rows:
+            rows[digits] = f_rows(Word(digits))
+        return rows[digits]
+
     for x in words_up_to_digits(max_digits):
-        extended = [(a0, Word((a0,) + x.digits)) for a0 in (1, 2)]
+        x_rows = rows_of(x.digits)
+        extended = [(a0, rows_of((a0,) + x.digits)) for a0 in (1, 2)]
         rank = x.rank
         for y in range(rank + 1):
             for z in range(x.digit_count + 1):
-                fx = f_rec(x, y, z)
-                for a0, ax in extended:
+                fx = x_rows[z][y]
+                for a0, ax_rows in extended:
                     # rank(ax) - y
-                    holds = _products_equal(fx, 1, f_rec(ax, y, z), rank + a0 - y)
+                    holds = _products_equal(fx, 1, ax_rows[z][y], rank + a0 - y)
                     yield holds or f"prefix-{a0} at ({x}, y={y}, z={z})"
 
 
@@ -101,8 +148,9 @@ def check_top_value_vanishes(max_digits: int) -> Outcomes:
     """For a word starting with 2, f one below the top y vanishes for every z."""
     for x in words_up_to_digits(max_digits):
         w = Word((2,) + x.digits)
+        sums = list(accumulate(reversed(w.digits), initial=0))
         for z in range(w.digit_count + 1):
-            holds = f_rec(w, x.rank + 1, z) == 0
+            holds = _f_at(w, sums, x.rank + 1, z)[0] == 0
             yield holds or f"leading-2 near-top value at ({w}, z={z})"
 
 
@@ -113,17 +161,13 @@ def check_equal_rank_symmetry(max_digits: int) -> Outcomes:
     for w in words_up_to_digits(max_digits):
         by_rank.setdefault(w.rank, []).append(w)
     for rank, words in by_rank.items():
-        # each word's f row at z and g products, evaluated once per rank
-        # rather than once per pair
-        g_rows = {w: [g_product(w, i) for i in range(rank + 1)] for w in words}
-        f_rows: dict[tuple[Word, int], list[Fraction]] = {}
-        for x in words:
-            for y in words:
+        # each word's f rows and g products, evaluated once per rank rather
+        # than once per pair
+        rows = [(w, f_rows(w), [g_product(w, i) for i in range(rank + 1)]) for w in words]
+        for x, x_rows, gx_row in rows:
+            for y, y_rows, gy_row in rows:
                 z = common_suffix_len(x, y)
-                for w in (x, y):
-                    if (w, z) not in f_rows:
-                        f_rows[w, z] = [f_rec(w, i, z) for i in range(rank + 1)]
-                columns = zip(f_rows[x, z], f_rows[y, z], g_rows[x], g_rows[y])
+                columns = zip(x_rows[z], y_rows[z], gx_row, gy_row)
                 for i, (fx, fy, gx, gy) in enumerate(columns):
                     holds = _products_equal(fx, gy, fy, gx)
                     yield holds or f"equal-rank symmetry at ({x}, {y}, i={i})"
@@ -133,7 +177,7 @@ def check_hook_factorial(max_digits: int) -> Outcomes:
     """The product of the g values times the suffix partial-sum product is rank!."""
     for x in words_up_to_digits(max_digits):
         # f_base(x, 0) is the reciprocal of the right-to-left partial-sum product
-        holds = prod(g_values(x)) == factorial(x.rank) * f_base(x, 0)
+        holds = prod(g_values(x)) * _base_den(x, 0) == factorial(x.rank)
         yield holds or f"hook-factorial at {x}"
 
 

@@ -803,10 +803,13 @@ _VERIFY_SECTIONS = {
     "caps, total", [((5, 3), 18_091), ((8, 3), 52_866)], ids=["rank5-S3", "rank8-S3"]
 )
 def test_verify_section_counts(caps, total):
+    functions.clear_caches()
     sections = run_verification(*caps)
     assert [(s["name"], s["checks"], s["skipped"]) for s in sections] == _VERIFY_SECTIONS[caps]
     assert sum(s["checks"] for s in sections) == total
     assert all(s["failures"] == [] for s in sections)
+    # the identity suites read f as integer pairs, never through the f memo
+    assert functions._f_rec.cache_info().currsize == 0
 
 
 _WORDS_TO_3 = [w for n in range(4) for w in level(n)]

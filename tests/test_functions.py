@@ -7,9 +7,12 @@ import pytest
 
 from reference import f_explicit_terms, suffix_sum
 from yfpaths.functions import (
+    _base_den,
     f_base,
     f_explicit,
     f_rec,
+    f_row,
+    f_rows,
     g_product,
     g_values,
     weight,
@@ -153,6 +156,18 @@ def test_key_range_errors():
         f_base(x, -1)
     with pytest.raises(ValueError):
         f_explicit(x, 4, 0)
+
+
+def test_f_row_and_base_den_agree_with_f_rec_and_f_base():
+    # the row shapes, and the pair shape inside them, against the Fraction one
+    for x in words_up_to_digits(7):
+        ys = range(x.rank + 1)
+        rows = [f_row(x, z) for z in range(x.digit_count + 1)]
+        for z, row in enumerate(rows):
+            assert [F(*pair) for pair in row] == [f_rec(x, y, z) for y in ys], f"{x}, z={z}"
+        assert f_rows(x) == rows, f"{x}"
+        dens = [_base_den(x, y) for y in ys]
+        assert [F(1, den) if den else F(0) for den in dens] == [f_base(x, y) for y in ys], f"{x}"
 
 
 def test_base_zero_when_no_suffix_split():

@@ -90,7 +90,8 @@ def test_clear_caches_empties_every_memo(name):
     # a memo left out of clear_caches would keep its entries
     module = importlib.import_module(f"yfpaths.{name}")
     memos = {key: value for key, value in vars(module).items() if hasattr(value, "cache_info")}
-    run_verification(3, 1)
+    run_verification(3, 1)  # the oracle's walks
+    f_rec(Word((2, 1)), 3, 1)  # verify reads f without the f memo
     assert all(memo.cache_info().currsize for memo in memos.values())
     module.clear_caches()
     sizes = {key: memo.cache_info().currsize for key, memo in memos.items()}
@@ -182,7 +183,9 @@ def test_point_queries_import_only_what_they_run(argv):
 def test_f_values_and_verify_import_what_they_need():
     loaded = _loaded_by("f", "21", "2", "1", "--verify", "--json")
     assert "fractions" in loaded and "yfpaths.invariants" not in loaded
-    assert "yfpaths.invariants" in _loaded_by("verify", "--max-rank", "2", "--max-S", "0")
+    # the identity suites read f as integer pairs, so verify builds no Fraction
+    verify = _loaded_by("verify", "--max-rank", "6", "--max-S", "1")
+    assert "yfpaths.invariants" in verify and "fractions" not in verify
     # f values stay fractions, zero ones too (no suffix of 21 sums to 2)
     x = Word((2, 1))
     values = [f_rec(x, 3, 1), f_rec(x, 2, 1), f_base(x, 1), f_base(x, 2), f_explicit(x, 3, 1)]
