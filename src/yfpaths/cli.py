@@ -44,6 +44,7 @@ import time
 from collections.abc import Callable, Iterator
 from functools import partial
 from math import comb
+from operator import attrgetter
 
 from . import counts, oracle
 from .functions import InconsistencyError, f_explicit, f_rec
@@ -99,18 +100,22 @@ def _word_pairs(max_rank: int):
                     yield x, y
 
 
-def _agreements(formula: Callable, reference: Callable, label: str, cases) -> Iterator[bool | str]:
-    """For each case, a tuple of arguments: True when ``formula`` and
-    ``reference`` agree on it, else its failure label, formatted with the
-    case.  An inconsistency inside the formula is a failure too."""
-    for case in cases:
+def _agreements(formula: Callable, label: str, cases) -> Iterator[bool | str]:
+    """For each case, a tuple of arguments and the oracle's value on them:
+    True when ``formula`` agrees, else its failure label, formatted with the
+    arguments.  An inconsistency inside the formula is a failure too."""
+    for case, want in cases:
         try:
             got = formula(*case)
         except InconsistencyError as exc:
             yield f"{label.format(*case)}: {exc}"
             continue
-        want = reference(*case)
         yield got == want or f"{label.format(*case)}: {got} != {want}"
+
+
+def _against(reference: Callable, cases):
+    """Each case with ``reference``'s value on it, taken as the case comes."""
+    return ((case, reference(*case)) for case in cases)
 
 
 TRAJ_LENGTH_CAP = 8
@@ -132,6 +137,40 @@ def _too_long(max_rank: int, max_s: int) -> int:
     return skipped
 
 
+def _trajectory_cases(max_rank: int, max_s: int):
+    """((x, y, t), oracle count) for every trajectory t of at most ``max_s``
+    up-steps and ``TRAJ_LENGTH_CAP`` steps between words y and x of rank at
+    most ``max_rank``, by y, then t, then x.  The trajectories of each
+    (rank x, rank y, S) are enumerated once, and those of each upper rank
+    walked from each of its words as one, sorted by their values."""
+    levels = [level(n) for n in range(max_rank + 1)]
+    for ry, ys in enumerate(levels):
+        ts = sorted(
+            (t for rx in range(ry + 1) for s in range(max_s + 1)
+             if ry - rx + 2 * s <= TRAJ_LENGTH_CAP
+             for t in enumerate_trajectories(rx, ry, s)),
+            key=attrgetter("values"),
+        )
+        for y in ys:
+            for t, front in oracle.trajectory_distributions(y, ts):
+                for x in levels[t.end]:
+                    yield (x, y, t), front.get(x.digits, 0)
+
+
+def _s_path_cases(max_rank: int, max_s: int):
+    """((x, y, S), oracle count) for every word pair up to ``max_rank`` and
+    S <= ``max_s``, in the order of :func:`_word_pairs`; each upper word's
+    counts are read off one walk."""
+    levels = [level(n) for n in range(max_rank + 1)]
+    for ys in levels:
+        for y in ys:
+            walked = oracle.s_path_distributions(y, max_s)
+            for rx in range(y.rank + 1):
+                for x in levels[rx]:
+                    for s in range(max_s + 1):
+                        yield (x, y, s), walked.get((rx, s), {}).get(x.digits, 0)
+
+
 def run_verification(max_rank: int, max_s: int) -> list[dict]:
     """Formula-versus-oracle sweeps plus the identity suites.
 
@@ -148,8 +187,8 @@ def run_verification(max_rank: int, max_s: int) -> list[dict]:
     traj_rank, spath_rank, xi_rank = min(max_rank, 4), min(max_rank, 5), min(max_rank, 6)
     digits, degree_rank = min(max_rank, 6), min(max_rank, 8)
 
-    def sweep(formula, reference, label, cases):
-        return partial(invariants.tally, _agreements(formula, reference, label, cases))
+    def sweep(formula, label, cases):
+        return partial(invariants.tally, _agreements(formula, label, cases))
 
     def suite(entry):
         # run_invariant_suites gives [(name, checks, failures)]
@@ -162,28 +201,26 @@ def run_verification(max_rank: int, max_s: int) -> list[dict]:
     # the cases are generators, so no check runs before its thunk is called
     table = [
         ("down-paths", {"rank": max_rank}, 0, sweep(
-            counts.count_down, oracle.brute_count_down, "({}, {})", _word_pairs(max_rank))),
+            counts.count_down, "({}, {})",
+            _against(oracle.brute_count_down, _word_pairs(max_rank)))),
         ("down-from-top", {"rank": max_rank}, 0, sweep(
-            counts.count_down_from_top, partial(oracle.brute_count_down, EPSILON), "({})",
-            words(max_rank))),
+            counts.count_down_from_top, "({})",
+            _against(partial(oracle.brute_count_down, EPSILON), words(max_rank)))),
         ("trajectory-paths", {"rank": traj_rank, "S": max_s, "length": TRAJ_LENGTH_CAP},
          _too_long(traj_rank, max_s), sweep(
-            counts.count_trajectory, oracle.brute_count_trajectory, "({}, {}, {})",
-            ((x, y, t) for x, y in _word_pairs(traj_rank) for s in range(max_s + 1)
-             if y.rank - x.rank + 2 * s <= TRAJ_LENGTH_CAP
-             for t in enumerate_trajectories(x.rank, y.rank, s)))),
+            counts.count_trajectory, "({}, {}, {})", _trajectory_cases(traj_rank, max_s))),
         ("s-paths", {"rank": spath_rank, "S": max_s}, 0, sweep(
-            counts.count_s_paths, oracle.brute_count_s, "({}, {}, S={})",
-            ((x, y, s) for x, y in _word_pairs(spath_rank) for s in range(max_s + 1)))),
+            counts.count_s_paths, "({}, {}, S={})", _s_path_cases(spath_rank, max_s))),
         ("up-value sums", {"rank": xi_rank, "S": max_s}, 0, sweep(
-            counts.xi, oracle.brute_xi, "(X={}, Y={}, S={}, i={})",
-            ((X, Y, s, i) for Y in range(xi_rank + 1) for X in range(Y + 1)
-             for s in range(max_s + 1) for i in range(X + 1)))),
+            counts.xi, "(X={}, Y={}, S={}, i={})",
+            _against(oracle.brute_xi, ((X, Y, s, i) for Y in range(xi_rank + 1)
+                                       for X in range(Y + 1) for s in range(max_s + 1)
+                                       for i in range(X + 1))))),
         *((f"identity: {entry[0]}", {"digits": digits}, 0, suite(entry))
           for entry in invariants.INVARIANT_SUITES),
         ("out-degree = in-degree + 1", {"rank": degree_rank}, 0, sweep(
-            lambda w: len(successors(w)), lambda w: len(predecessors(w)) + 1, "degree at {}",
-            words(degree_rank))),
+            lambda w: len(successors(w)), "degree at {}",
+            _against(lambda w: len(predecessors(w)) + 1, words(degree_rank)))),
     ]
     sections = []
     for name, caps, skipped, run in table:
@@ -267,7 +304,7 @@ def _int_arg(text: str, name: str, cap: int) -> int:
 # ``yf f 2^5000 10000 5000 --verify`` ~0.2 s.  The oracle bounds its own work
 # (``oracle.WORK_CAP``), so ``--verify`` adds no cap.
 # Each ``verify`` rank costs up to ~2.2 times the one below, and each S past 3
-# up to ~1.2 times: (10, 5) takes 0.85-0.9 s in-process.
+# up to ~1.2 times: (10, 5) takes 0.7-0.9 s in-process.
 LEVEL_RANK_CAP = 24
 DOT_RANK_CAP = 20
 S_CAP = 20_000
@@ -413,10 +450,19 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser of ``yf``.  When ``argv`` starts with a command's name,
+    only that command's parser is built, since argparse reads no other; the
+    usage line still names every command."""
     parser = _Parser(prog="yf", description="Exact path counts in the Young-Fibonacci graph")
     sub = parser.add_subparsers(dest="command", required=True)
+    names = [*COMMANDS, "verify"]
+    if argv[:1] and argv[0] in names:
+        sub.metavar = "{" + ",".join(names) + "}"  # as argparse writes the choices
+        names = argv[:1]
     for name, command in COMMANDS.items():
+        if name not in names:
+            continue
         p = sub.add_parser(name, help=command.help)
         for pos_name, pos_help in command.positionals:
             p.add_argument(pos_name, help=pos_help)
@@ -424,12 +470,13 @@ def _build_parser() -> _Parser:
         if command.verify:
             p.add_argument("--verify", action="store_true", help=command.verify)
 
-    p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
-    rank_help = f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"
-    p.add_argument("--max-rank", default="6", help=rank_help)
-    s_help = f"up-step cap of the sweeps (at most {VERIFY_S_CAP})"
-    p.add_argument("--max-S", dest="max_s", default="2", help=s_help)
-    p.add_argument("--json", action="store_true")
+    if "verify" in names:
+        p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
+        rank_help = f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"
+        p.add_argument("--max-rank", default="6", help=rank_help)
+        s_help = f"up-step cap of the sweeps (at most {VERIFY_S_CAP})"
+        p.add_argument("--max-S", dest="max_s", default="2", help=s_help)
+        p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -486,7 +533,9 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

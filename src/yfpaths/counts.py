@@ -205,7 +205,10 @@ def _xi_shifts(X: int, Y: int, S: int) -> tuple[list[int], int]:
     for a in range(1, X + 1):
         # at a = 1 the T(-1) term has coefficient 0
         prior = (a - 1) * t[a - 2] if a > 1 else 0
-        t.append(_exact(c * t[a - 1] + prior, a + u, "xi({}, {}, {}, 0)", a, a + u, S))
+        value, rest = divmod(c * t[a - 1] + prior, a + u)  # _exact, inlined
+        if rest:
+            raise InconsistencyError(f"xi({a}, {a + u}, {S}, 0) evaluated to a non-integer")
+        t.append(value)
     if t[X] != check:
         raise InconsistencyError(
             f"xi({X}, {Y}, {S}, 0) from the shift recurrence differs from its term sum"

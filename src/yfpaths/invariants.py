@@ -81,11 +81,11 @@ def check_base_shift_identities(max_digits: int) -> Outcomes:
 
 
 def check_low_order_values(max_digits: int) -> Outcomes:
-    """f(x, 0, z) does not depend on z; f(x, 1, z) = 0 for z >= 1; and
-    f(x, 1, 0) = 0 when x ends in 2."""
+    """f(x, 0, z) does not depend on z: it is f_base(x, 0) at every z;
+    f(x, 1, z) = 0 for z >= 1; and f(x, 1, 0) = 0 when x ends in 2."""
     for x in words_up_to_digits(max_digits):
         sums = list(accumulate(reversed(x.digits), initial=0))
-        base = _f_at(x, sums, 0, 0)
+        base = (1, _base_den(x, 0))  # f_base(x, 0) is never 0
         for z in range(x.digit_count + 1):
             holds = _products_equal(_f_at(x, sums, 0, z), 1, base, 1)
             yield holds or f"y=0 z-dependence at ({x}, z={z})"

@@ -12,22 +12,32 @@ one rank.  A walk's cost follows the shape of its fronts, not the rank it
 starts from: 1^1000 has one word per level, 2^19 about 150,000 at its
 widest.  So every walk meters its own work, each front at its own rank, and
 raises :class:`EnumerationCapExceeded` past ``WORK_CAP``, at most ~1.3 s of
-walking.  The fronts hold plain digit tuples, stepped by
-:func:`words.tuples_below`: a walk builds no word of its own.
+walking.  The fronts hold plain digit tuples, stepped by one loop
+(:func:`_step`) over :func:`words.tuples_below`: a walk builds no word of
+its own.
+
+A point query takes the last front of its walk.  The ``verify`` sweeps walk
+each upper word once and read every target off that walk:
+:func:`s_path_distributions` reads each (X, S) off the fronts of one S-path
+walk as it passes rank X, and :func:`trajectory_distributions` steps a stack
+of fronts along trajectories sorted by their values, past only the prefix
+each shares with the one before.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .trajectories import EnumerationCapExceeded, Trajectory
 from .words import Word, tuples_below
 
 Digits = tuple[int, ...]  # a word's digits; the walks' fronts are keyed by them
+Fronts = dict[int, dict[Digits, int]]  # one front per number of up-steps taken
 
 # Walks kept per memo.  ``verify --max-rank 8 --max-S 3`` comes back to 659
 # descent fronts (one per word and lower rank); its trajectory and S-path
-# sections come back only to the walks of the current upper word.
+# sections walk each upper word once, past the memos.
 _WALKS = 1 << 10
 
 # Work one walk may do.  A walk over words charges each front the number of
@@ -65,35 +75,50 @@ def _charge(work: int, units: int) -> int:
     return work
 
 
-def _walk(y: Word, steps: tuple[int, ...], S: int) -> dict[Digits, int]:
+def _step(front: dict[Digits, int], up: int, into: dict[Digits, int]) -> None:
+    """Add to ``into`` the words one step from each word of ``front``, with
+    its multiplicity: up to the words covering it (those 2w covers, w its
+    digits), or down to the words it covers."""
+    for d, c in front.items():
+        for v in tuples_below((2,) + d if up else d):
+            into[v] = into.get(v, 0) + c
+
+
+def _walk(y: Word, steps: tuple[int, ...], S: int) -> Iterator[Fronts]:
     """Propagate digits -> multiplicity fronts from ``y`` along ``steps``,
-    each +1, -1 or 0 for either way, and return the front of the paths that
-    took ``S`` up-steps.  Front u holds the words reached by u up-steps, all
-    of rank y.rank - j + 2u after j steps.  Each front is charged before it
-    is stepped from; one whose S - u up-steps to come no longer fit in the
-    steps left is dropped.
+    each +1, -1 or 0 for either way, and yield the fronts before the first
+    step and after each.  Front u holds the words reached by u up-steps, all
+    of rank y.rank - j + 2u after j steps, and u never passes ``S``.  Each
+    front is charged before it is stepped from; one whose S - u up-steps to
+    come no longer fit in the steps left is dropped.  The fronts yielded are
+    never changed afterwards.
 
     One loop serves descents, trajectories and S-paths.  It pays ~0.4 us a
     step over a loop written for one front (the loop over fronts, the
-    ``_MOVES`` lookup, the bounds test, ``setdefault``): ~5 ms of
-    ``verify --max-rank 8 --max-S 3``.  Inlining ``_charge`` or splitting
-    the up and down branches won back under 1 ms of that, so the one loop
-    stays."""
+    ``_MOVES`` lookup, the bounds test, ``setdefault``); inlining ``_charge``
+    or splitting the up and down branches won back little of that, so the
+    one loop stays."""
     fronts = {0: {y.digits: 1}}
+    yield fronts
     rank, work, low = y.rank, 0, S - len(steps)  # rank: that of front 0
     for step in steps:
         low += 1  # fewest up-steps a front may have taken after this step
-        new: dict[int, dict[Digits, int]] = {}
+        new: Fronts = {}
         for u, front in fronts.items():
             work = _charge(work, len(front) * (rank + 2 * u + _WORD_COST))
             for up in _MOVES[step]:
                 if low <= u + up <= S:
-                    into = new.setdefault(u + up, {})
-                    for d, c in front.items():
-                        for v in tuples_below((2,) + d if up else d):
-                            into[v] = into.get(v, 0) + c
+                    _step(front, up, new.setdefault(u + up, {}))
         fronts = new
         rank -= 1
+        yield fronts
+
+
+def _end(y: Word, steps: tuple[int, ...], S: int) -> dict[Digits, int]:
+    """The front of the walk from ``y`` along all of ``steps`` that took
+    ``S`` up-steps."""
+    for fronts in _walk(y, steps, S):
+        pass
     return fronts.get(S, {})
 
 
@@ -102,7 +127,7 @@ def _down(y: Word, X: int) -> dict[Digits, int]:
     """Counts of descending paths from ``y`` to every word of rank ``X``,
     keyed by its digits.  The memo hands the same dict to every caller:
     read it, never change it."""
-    return _walk(y, (-1,) * (y.rank - X), 0)
+    return _end(y, (-1,) * (y.rank - X), 0)
 
 
 def brute_count_down(x: Word, y: Word) -> int:
@@ -119,7 +144,38 @@ def trajectory_distribution(y: Word, t: Trajectory) -> dict[Digits, int]:
     read it, never change it."""
     if t.start != y.rank:
         raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
-    return _walk(y, t.steps, t.up_count)
+    return _end(y, t.steps, t.up_count)
+
+
+def trajectory_distributions(
+    y: Word, trajectories: Iterable[Trajectory]
+) -> Iterator[tuple[Trajectory, dict[Digits, int]]]:
+    """(t, trajectory_distribution(y, t)) for each of ``trajectories``, all
+    walked as one: the fronts along the last trajectory stay on a stack, and
+    each trajectory steps only past the values it shares with the one
+    before.  Sorted by their values, trajectories that share a prefix come
+    together, and each step is one node of their trie.  Each front is
+    charged as :func:`_walk` charges it, and the walk stops past
+    ``WORK_CAP``.  The fronts yielded are never changed afterwards."""
+    stack = [{y.digits: 1}]  # stack[k]: the front after k steps of ``last``
+    last: tuple[int, ...] = (y.rank,)
+    work = 0
+    for t in trajectories:
+        values = t.values
+        if values[0] != y.rank:
+            raise ValueError(f"trajectory starts at {values[0]}, word has rank {y.rank}")
+        shared, most = 1, min(len(values), len(last))
+        while shared < most and values[shared] == last[shared]:
+            shared += 1
+        del stack[shared:]
+        for k in range(shared, len(values)):
+            front, rank = stack[-1], values[k - 1]
+            work = _charge(work, len(front) * (rank + _WORD_COST))
+            into: dict[Digits, int] = {}
+            _step(front, values[k] > rank, into)
+            stack.append(into)
+        last = values
+        yield t, stack[-1]
 
 
 def brute_count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
@@ -141,7 +197,25 @@ def s_path_distribution(y: Word, X: int, S: int) -> dict[Digits, int]:
         raise ValueError(f"s_path_distribution needs rank({y}) >= {X}")
     if S < 0 or X < 0:
         raise ValueError("X and S must be nonnegative")
-    return _walk(y, (0,) * (y.rank - X + 2 * S), S)
+    return _end(y, (0,) * (y.rank - X + 2 * S), S)
+
+
+def s_path_distributions(y: Word, max_S: int) -> dict[tuple[int, int], dict[Digits, int]]:
+    """s_path_distribution(y, X, S) at every X <= rank(y) and S <= max_S,
+    keyed by (X, S), from one walk: rank(y) + 2 max_S steps either way with
+    up to max_S up-steps.  Front S after j steps holds the words of rank
+    rank(y) - j + 2S, so it is target (X, S) at j = rank(y) - X + 2S.  The
+    walk drops only fronts of negative rank, which hold no word; a target
+    that no front reaches has no path, and is left out."""
+    if max_S < 0:
+        raise ValueError("max_S must be nonnegative")
+    out = {}
+    for j, fronts in enumerate(_walk(y, (0,) * (y.rank + 2 * max_S), max_S)):
+        for S, front in fronts.items():
+            X = y.rank - j + 2 * S
+            if 0 <= X <= y.rank:
+                out[X, S] = front
+    return out
 
 
 def brute_count_s(x: Word, y: Word, S: int) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -673,6 +674,46 @@ def test_command_help_lists_every_argument(capsys, name):
     assert "--json" in out
 
 
+def _parser_argvs():
+    # --help of each command, and its usage errors: missing, unknown and
+    # surplus arguments (verify has no positional to miss)
+    for name in [*cli.COMMANDS, "verify"]:
+        yield name, "--help"
+        if name != "verify":
+            yield (name,)
+        yield name, "--bogus"
+        yield name, "1", "2", "3", "4", "5"
+    yield from [(), ("--help",), ("bogus",), ("--json", "down", "1", "2")]
+
+
+@pytest.mark.parametrize("argv", list(_parser_argvs()), ids=" ".join)
+def test_parser_output_does_not_depend_on_the_commands_built(capsys, argv):
+    # a command's name builds that command's parser only; its help and
+    # every usage error read as with every command's parser built, the
+    # usage line naming every command
+    full = cli._build_parser([])
+    with pytest.raises(SystemExit) as exit_info:
+        full.parse_args(list(argv))
+    code, full_out = exit_info.value.code, capsys.readouterr()
+    assert code in (0, 1)
+    assert run(capsys, *argv) == (code, full_out.out, full_out.err)
+
+
+def test_named_command_builds_one_parser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    for name in [*cli.COMMANDS, "verify"]:
+        cli._build_parser([name, "--json"])
+        assert built == [name]
+        built.clear()
+    for argv in ([], ["--help"], ["bogus"]):
+        cli._build_parser(argv)
+        assert built == [*cli.COMMANDS, "verify"]
+        built.clear()
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--max-rank", "4", "--max-S", "1")
     assert code == 0
@@ -762,7 +803,7 @@ def test_verify_detects_injected_fault(capsys):
 
 
 # (name, checks, skipped) of every verify section, as counted when each
-# section ran its own loop
+# section ran its own loop, and each trajectory and S-path target its own walk
 _VERIFY_SECTIONS = {
     (5, 3): [
         ("down-paths", 252, 0),
@@ -796,11 +837,29 @@ _VERIFY_SECTIONS = {
         ("identity: hook factorial", 127, 0),
         ("out-degree = in-degree + 1", 88, 0),
     ],
+    (6, 5): [
+        ("down-paths", 681, 0),
+        ("down-from-top", 33, 0),
+        ("trajectory-paths", 6281, 50297),
+        ("s-paths", 1512, 0),
+        ("up-value sums", 504, 0),
+        ("identity: base-shift identities", 4614, 0),
+        ("identity: low-order values", 1474, 0),
+        ("identity: trailing 2 vs 11", 1344, 0),
+        ("identity: base row sum", 126, 0),
+        ("identity: prefix extension", 13814, 0),
+        ("identity: top value vanishes", 896, 0),
+        ("identity: equal-rank symmetry", 20538, 0),
+        ("identity: hook factorial", 127, 0),
+        ("out-degree = in-degree + 1", 33, 0),
+    ],
 }
 
 
 @pytest.mark.parametrize(
-    "caps, total", [((5, 3), 18_091), ((8, 3), 52_866)], ids=["rank5-S3", "rank8-S3"]
+    "caps, total",
+    [((5, 3), 18_091), ((8, 3), 52_866), ((6, 5), 51_977)],
+    ids=["rank5-S3", "rank8-S3", "rank6-S5"],
 )
 def test_verify_section_counts(caps, total):
     functions.clear_caches()

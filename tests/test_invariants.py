@@ -111,6 +111,11 @@ def _wrong_base(bad):
         # chain stripping nothing: the same pair three times
         (check_low_order_values, "_f_pair", _wrong_pair(((1, 2), 1, 0)),
          {"y=1 nonzero at (12, z=1)", "y=1 nonzero at (12, z=2)", "trailing-2 y=1 nonzero at 12"}),
+        # nor at y = 0: every z reads f(21, 0, .) from one pair, which is
+        # checked against f_base(21, 0), so a wrong one fails at z >= 1 too
+        (check_low_order_values, "_f_pair", _wrong_pair(((2, 1), 0, 0)),
+         {"y=0 z-dependence at (21, z=0)", "y=0 z-dependence at (21, z=1)",
+          "y=0 z-dependence at (21, z=2)"}),
         # the chain of f(221, 4, z) stops short of the leading 2: at z >= 2
         # it strips 21
         (check_top_value_vanishes, "_f_pair", _wrong_pair(((2, 2, 1), 4, 2)),
@@ -127,7 +132,7 @@ def _wrong_base(bad):
         (check_base_row_sum, "_base_den", _wrong_base(("21", 0)), {"row sum nonzero at 21"}),
         (check_hook_factorial, "_base_den", _wrong_base(("21", 0)), {"hook-factorial at 21"}),
     ],
-    ids=["low-order", "top-value", "trailing-row", "trailing-base", "base-shift", "row-sum",
+    ids=["low-order", "low-order-y0", "top-value", "trailing-row", "trailing-base", "base-shift", "row-sum",
          "hook"],
 )
 def test_suites_flag_one_wrong_entry(suite, name, fault, expected):

@@ -94,6 +94,28 @@ def test_work_bound_charges_each_front(small_work_cap):
         assert brute_count_s(w(word), w(word), S) == paths
 
 
+def test_work_bound_stops_the_sweep_walks(small_work_cap):
+    small_work_cap(100)
+    y = w("22")
+    with pytest.raises(EnumerationCapExceeded):
+        oracle.s_path_distributions(y, 1)
+    with pytest.raises(EnumerationCapExceeded):
+        list(oracle.trajectory_distributions(y, [Trajectory((4, 3, 2, 1, 0))]))
+
+
+def test_trajectory_walks_charge_each_trie_node(small_work_cap):
+    # 2,1,0 steps from 11 and from 1; 2,1,2 shares 2,1 and steps from 1 once
+    # more
+    ts = [Trajectory((2, 1, 0)), Trajectory((2, 1, 2))]
+    work = (2 + oracle._WORD_COST) + 2 * (1 + oracle._WORD_COST)
+    small_work_cap(work - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        list(oracle.trajectory_distributions(w("11"), ts))
+    small_work_cap(work)
+    assert [front for _, front in oracle.trajectory_distributions(w("11"), ts)] == [
+        {(): 1}, {(1, 1): 1, (2,): 1}]
+
+
 def test_walks_reach_the_rank_cap():
     # a word of rank 3000 (the CLI's rank(y) cap) with one word per level:
     # as a descent and as an S-path walk with S = 0 it is the same walk,
@@ -195,6 +217,41 @@ def test_s_dp_matches_trajectory_sum():
                         for d, c in oracle.trajectory_distribution(y, t).items():
                             want[d] = want.get(d, 0) + c
                     assert oracle.s_path_distribution(y, X, S) == want, (y, X, S)
+
+
+def test_s_path_distributions_match_point_walks():
+    # one walk per upper word and up-step cap gives every (X, S) target what
+    # its own walk gives
+    for ry in range(6):
+        for y in level(ry):
+            for max_S in range(6):
+                walked = oracle.s_path_distributions(y, max_S)
+                targets = {(X, S) for X in range(ry + 1) for S in range(max_S + 1)}
+                assert set(walked) <= targets
+                for X, S in targets:
+                    assert walked.get((X, S), {}) == oracle.s_path_distribution(y, X, S), (y, X, S)
+
+
+def test_trajectory_distributions_match_point_walks():
+    # the trie walk gives each trajectory what its own walk gives, sorted or
+    # not: the order only decides which prefixes are shared
+    for ry in range(5):
+        ts = sorted(
+            (t for rx in range(ry + 1) for S in range(6) if ry - rx + 2 * S <= 8
+             for t in enumerate_trajectories(rx, ry, S)),
+            key=lambda t: t.values,
+        )
+        for y in level(ry):
+            for order in (ts, ts[::-1]):
+                walked = list(oracle.trajectory_distributions(y, order))
+                assert [t for t, _ in walked] == order
+                for t, front in walked:
+                    assert front == oracle.trajectory_distribution(y, t), (y, t)
+
+
+def test_trajectory_distributions_check_the_start():
+    with pytest.raises(ValueError):
+        list(oracle.trajectory_distributions(w("1"), [Trajectory((2, 1, 0))]))
 
 
 def test_xi_no_up_steps():
