@@ -33,18 +33,23 @@ is quoted by its bit length, and a number typed with more than 4,300 digits
 is rejected unparsed, by its digit count (as not nonnegative after a ``-``
 sign); every error line, argparse's too, is cut at ``ERROR_LINE_CAP``
 characters.
+
+A well-formed query (a command's name, exactly its positionals and only its
+own flags, each at most once, in any order) is read by :func:`_read_query`
+and its ``--json`` line written by :func:`_json`, so that a query imports
+neither ``argparse`` nor ``json``: argparse runs only for the argv the
+reader leaves, help and usage errors among them, and writes all their text.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from collections.abc import Callable, Iterator
 from functools import partial
 from math import comb
 from operator import attrgetter
+from types import SimpleNamespace
 
 from . import counts, oracle
 from .functions import InconsistencyError, f_explicit, f_rec
@@ -67,12 +72,43 @@ def _clipped(line: str) -> str:
     return line if len(line) <= ERROR_LINE_CAP else line[: ERROR_LINE_CAP - 1] + "…"
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract reserves 2 for
-    # computation disagreement, so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, _clipped(f"{self.prog}: error: {message}") + "\n")
+# The escapes json.dumps writes inside a string in place of \uXXXX
+_JSON_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"
+}
+
+
+def _json_char(c: str) -> str:
+    """``c`` as ``json.dumps`` writes it inside a string: printable ASCII as
+    itself, every other character escaped, past U+FFFF as a surrogate pair."""
+    if c in _JSON_ESCAPES:
+        return _JSON_ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _json(value) -> str:
+    """``value`` as ``json.dumps`` writes it, for the types of a ``--json``
+    payload: str, None, bool, int, float, and lists and str-keyed dicts of
+    them."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable():  # nothing to write as \uXXXX
+            return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + "".join(map(_json_char, value)) + '"'
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int, which bool subclasses
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    return "[" + ", ".join(map(_json, value)) + "]"
 
 
 def _result(command, args, value, oracle_value=None, agree=None, millis=0.0) -> dict:
@@ -386,16 +422,17 @@ def _dot(a) -> tuple[object, None]:
 class Command:
     """A point-query subcommand.
 
-    ``run`` maps the parsed arguments to ``(value, oracle)``: ``oracle`` is a
-    thunk that recomputes the value independently, called only under
-    ``--verify``, or None.  ``verify`` is the help of ``--verify`` (None: no
-    such flag); ``text`` renders the value for plain output.
+    ``run`` maps the parsed arguments (the fields argparse would set) to
+    ``(value, oracle)``: ``oracle`` is a thunk that recomputes the value
+    independently, called only under ``--verify``, or None.  ``verify`` is
+    the help of ``--verify`` (None: no such flag); ``text`` renders the
+    value for plain output.
     """
 
     def __init__(
         self,
         help: str,
-        run: Callable[[argparse.Namespace], tuple[object, Thunk | None]],
+        run: Callable[[SimpleNamespace], tuple[object, Thunk | None]],
         positionals: tuple[tuple[str, str], ...],
         verify: str | None = None,
         text: Callable[[object], str] = str,
@@ -450,19 +487,70 @@ COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser of ``yf``.  When ``argv`` starts with a command's name,
-    only that command's parser is built, since argparse reads no other; the
-    usage line still names every command."""
-    parser = _Parser(prog="yf", description="Exact path counts in the Young-Fibonacci graph")
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = [*COMMANDS, "verify"]
-    if argv[:1] and argv[0] in names:
-        sub.metavar = "{" + ",".join(names) + "}"  # as argparse writes the choices
-        names = argv[:1]
-    for name, command in COMMANDS.items():
-        if name not in names:
+# verify's bound options: the option, its field, its default and its help
+_VERIFY_BOUNDS = (
+    ("--max-rank", "max_rank", "6", f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"),
+    ("--max-S", "max_s", "2", f"up-step cap of the sweeps (at most {VERIFY_S_CAP})"),
+)
+
+
+def _read_query(argv: list[str]) -> SimpleNamespace | None:
+    """The fields argparse sets for ``argv`` when it is a well-formed query,
+    read without argparse: a command's name, then exactly its positionals,
+    with no other token starting with "-" than each of its flags at most
+    once and, for ``verify``, each bound option at most once, followed by a
+    value that does not start with "-".  None for every other ``argv`` (help,
+    "--", abbreviations, "=" forms, values starting with "-", repeated
+    options and every usage error), which is left to argparse."""
+    if not argv:
+        return None
+    name, *tokens = argv
+    if name in COMMANDS:
+        command = COMMANDS[name]
+        positionals = [pos for pos, _ in command.positionals]
+        flags = ("--json", "--verify") if command.verify else ("--json",)
+        bounds = {}
+    elif name == "verify":
+        positionals, flags = [], ("--json",)
+        bounds = {option: (field, default) for option, field, default, _ in _VERIFY_BOUNDS}
+    else:
+        return None
+    fields = {"command": name, **{flag[2:]: False for flag in flags}, **dict(bounds.values())}
+    values, seen = [], set()
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
             continue
+        if token in seen or (token not in flags and token not in bounds):
+            return None
+        seen.add(token)
+        if token in flags:
+            fields[token[2:]] = True
+            continue
+        value = next(tokens, "-")  # "-" for a missing value: argparse reports it
+        if value.startswith("-"):
+            return None
+        fields[bounds[token][0]] = value
+    if len(values) != len(positionals):
+        return None
+    return SimpleNamespace(**fields, **dict(zip(positionals, values)))
+
+
+def _build_parser():
+    """The parser of ``yf``, for the argv that :func:`_read_query` leaves."""
+    import argparse  # a well-formed query does not need it
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors; the contract reserves 2 for
+        # computation disagreement, so remap to 1.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, _clipped(f"{self.prog}: error: {message}") + "\n")
+
+    parser = Parser(prog="yf", description="Exact path counts in the Young-Fibonacci graph")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for pos_name, pos_help in command.positionals:
             p.add_argument(pos_name, help=pos_help)
@@ -470,18 +558,15 @@ def _build_parser(argv: list[str]) -> _Parser:
         if command.verify:
             p.add_argument("--verify", action="store_true", help=command.verify)
 
-    if "verify" in names:
-        p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
-        rank_help = f"rank cap of the sweeps (at most {VERIFY_RANK_CAP})"
-        p.add_argument("--max-rank", default="6", help=rank_help)
-        s_help = f"up-step cap of the sweeps (at most {VERIFY_S_CAP})"
-        p.add_argument("--max-S", dest="max_s", default="2", help=s_help)
-        p.add_argument("--json", action="store_true")
+    p = sub.add_parser("verify", help="formula-versus-oracle sweeps and identity suites")
+    for option, field, default, text in _VERIFY_BOUNDS:
+        p.add_argument(option, dest=field, default=default, help=text)
+    p.add_argument("--json", action="store_true")
 
     return parser
 
 
-def _run_query(args: argparse.Namespace) -> int:
+def _run_query(args: SimpleNamespace) -> int:
     command = COMMANDS[args.command]
     start = time.perf_counter()
     value, check = command.run(args)
@@ -491,7 +576,7 @@ def _run_query(args: argparse.Namespace) -> int:
 
     if args.json:
         raw = [getattr(args, name) for name, _ in command.positionals]
-        print(json.dumps(_result(args.command, raw, value, expected, agree, millis)))
+        print(_json(_result(args.command, raw, value, expected, agree, millis)))
     else:
         print(command.text(value))
         if expected is not None:
@@ -499,7 +584,7 @@ def _run_query(args: argparse.Namespace) -> int:
     return EXIT_DISAGREE if agree is False else EXIT_OK
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: SimpleNamespace) -> int:
     # parsed here, not by argparse, so that a value past the interpreter's
     # int-to-str digit limit meets the cap rather than a parse error
     max_rank = _int_arg(args.max_rank, "--max-rank", VERIFY_RANK_CAP)
@@ -516,7 +601,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         verify_args = [str(max_rank), str(max_s)]
         payload = _result("verify", verify_args, summary, agree=not failures, millis=millis)
         payload["sections"] = [{**s, "failures": len(s["failures"])} for s in sections]
-        print(json.dumps(payload))
+        print(_json(payload))
     else:
         for s in sections:
             status = f"{len(s['failures'])} FAILED" if s["failures"] else "ok"
@@ -535,11 +620,12 @@ def _run_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args = _read_query(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # Counts outgrow the int-to-str digit limit (Python >= 3.11); print them
     # in full and put the interpreter's limit back afterwards.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -136,16 +136,22 @@ def xi_zero(Y: int, S: int) -> int:
     return comb(Y + 2 * S, Y) * odd_double_factorial(2 * S - 1)
 
 
-def _xi_head(Y: int, S: int, K: int) -> int:
-    """xi_zero(Y, S) / (2(S - K) - 1)!! for 0 <= K <= S: C(Y + 2S, Y) times
+def _head_odds(S: int, K: int) -> int:
+    """(2S - 1)!! / (2(S - K) - 1)!! for 0 <= K <= S:
     prod_{S - K < k <= S} (2k - 1) = perm(2S, 2K) / (2^K perm(S, K))."""
-    odd = _exact(perm(2 * S, 2 * K), perm(S, K) << K, "{}!! / {}!!", 2 * S - 1, 2 * (S - K) - 1)
-    return comb(Y + 2 * S, Y) * odd
+    return _exact(perm(2 * S, 2 * K), perm(S, K) << K, "{}!! / {}!!", 2 * S - 1, 2 * (S - K) - 1)
 
 
-def _xi_over(X: int, Y: int, S: int) -> tuple[int, int]:
-    """(xi(X, Y, S, 0) / d, K) for Y >= X >= 0, with K = min(X // 2, S) and
-    d = (2(S - K) - 1)!!, which divides every term of the sum.
+def _xi_head(Y: int, S: int, odds: int) -> int:
+    """xi_zero(Y, S) / (2(S - K) - 1)!!: C(Y + 2S, Y) times ``odds``, the
+    ``_head_odds(S, K)`` that every head of one S and K shares."""
+    return comb(Y + 2 * S, Y) * odds
+
+
+def _xi_over(X: int, Y: int, S: int) -> tuple[int, int, int]:
+    """(xi(X, Y, S, 0) / d, K, odds) for Y >= X >= 0, with K = min(X // 2, S),
+    d = (2(S - K) - 1)!!, which divides every term of the sum, and
+    odds = ``_head_odds(S, K)``, built once for every head over d.
 
     The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
     k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
@@ -153,10 +159,11 @@ def _xi_over(X: int, Y: int, S: int) -> tuple[int, int]:
     times 1 + r_1 (1 + r_2 (1 + ...)), evaluated from the last k as one
     fraction p / q of small-integer products; from one k to the next,
     N + Y + 1 and X - 2k + 1 step by 2.  That fraction is reduced by its gcd,
-    and one exact divide of the head ``_xi_head(Y, S, K)``, the k = 0 term
+    and one exact divide of the head ``_xi_head(Y, S, odds)``, the k = 0 term
     over d, times it finishes it.
     """
     K = min(X // 2, S)
+    odds = _head_odds(S, K)
     p = q = 1
     n = 2 * (S - K) + Y + 1
     a = X - 2 * K + 1
@@ -166,7 +173,8 @@ def _xi_over(X: int, Y: int, S: int) -> tuple[int, int]:
         n += 2
         a += 2
     g = gcd(p, q)
-    return _exact(_xi_head(Y, S, K) * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S), K
+    value = _exact(_xi_head(Y, S, odds) * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S)
+    return value, K, odds
 
 
 def xi(X: int, Y: int, S: int, i: int = 0) -> int:
@@ -181,7 +189,7 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
         raise ValueError(f"xi needs Y >= X >= i >= 0, got ({X}, {Y}, {S}, {i})")
     if S < 0:
         raise ValueError("S must be nonnegative")
-    value, K = _xi_over(X - i, Y - i, S)
+    value, K, _ = _xi_over(X - i, Y - i, S)
     return odd_double_factorial(2 * (S - K) - 1) * value
 
 
@@ -195,13 +203,14 @@ def _xi_shifts(X: int, Y: int, S: int) -> tuple[list[int], int]:
     A = B), so T(0) = xi_zero(u, S), a closed head, fixes every shift in one
     pass of exact divides.  Every term of every shift's sum holds
     (2(S - k) - 1)!! with k <= K, a multiple of d, so every T(a) is taken
-    over d, and the pass starts from ``_xi_head(u, S, K)``.  It ends at
-    T(X), shift 0, which is checked against the term sum of ``_xi_over``.
+    over d, and the pass starts from ``_xi_head(u, S, odds)``, on the odd
+    product the term sum of ``_xi_over`` built.  It ends at T(X), shift 0,
+    which is checked against that term sum.
     """
-    check, K = _xi_over(X, Y, S)
+    check, K, odds = _xi_over(X, Y, S)
     u = Y - X
     c = 2 * S + u + 1
-    t = [_xi_head(u, S, K)]
+    t = [_xi_head(u, S, odds)]
     for a in range(1, X + 1):
         # at a = 1 the T(-1) term has coefficient 0
         prior = (a - 1) * t[a - 2] if a > 1 else 0

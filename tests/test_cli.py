@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -8,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import yfpaths.cli as cli
 import yfpaths.functions as functions
@@ -688,10 +687,9 @@ def _parser_argvs():
 
 @pytest.mark.parametrize("argv", list(_parser_argvs()), ids=" ".join)
 def test_parser_output_does_not_depend_on_the_commands_built(capsys, argv):
-    # a command's name builds that command's parser only; its help and
-    # every usage error read as with every command's parser built, the
-    # usage line naming every command
-    full = cli._build_parser([])
+    # help and every usage error pass the query reader by and read as the
+    # parser itself writes them, the usage line naming every command
+    full = cli._build_parser()
     with pytest.raises(SystemExit) as exit_info:
         full.parse_args(list(argv))
     code, full_out = exit_info.value.code, capsys.readouterr()
@@ -699,19 +697,123 @@ def test_parser_output_does_not_depend_on_the_commands_built(capsys, argv):
     assert run(capsys, *argv) == (code, full_out.out, full_out.err)
 
 
-def test_named_command_builds_one_parser(monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
-    for name in [*cli.COMMANDS, "verify"]:
-        cli._build_parser([name, "--json"])
-        assert built == [name]
-        built.clear()
-    for argv in ([], ["--help"], ["bogus"]):
-        cli._build_parser(argv)
-        assert built == [*cli.COMMANDS, "verify"]
-        built.clear()
+# The query reader against argparse: argv built from a command's positional
+# values, its flags and verify's bound options with their values, in any
+# order.  Now and then a value starts with "-" or is empty, the positionals
+# are one too few or too many, a flag or option is repeated or foreign to
+# the command or its value is left out, a stray token (abbreviated, "=" form,
+# "--", help) is added, or the name is no command's.
+_VALUES = st.sampled_from(
+    ["e", "22", "3", "1,0", "7"] * 3 + ["", " ", "a b", "down", "-1", "-", "-e", "--json"]
+)
+_STRAY_TOKENS = st.sampled_from(
+    ["--", "-h", "--help", "--js", "--ver", "--max-r", "--max", "--json=", "--verify=1",
+     "--max-rank=3", "--max-S=", "--bogus", "-j", "--JSON", "--max-s"]
+)
+
+
+@st.composite
+def _front_end_argv(draw):
+    def now_and_then():
+        return draw(st.integers(0, 5)) == 0
+
+    name = draw(st.sampled_from([*cli.COMMANDS, "verify"]))
+    command = cli.COMMANDS.get(name)
+    arity = len(command.positionals) if command else 0
+    if now_and_then():
+        arity = max(0, arity + draw(st.sampled_from((-1, 1))))
+    units = [[draw(_VALUES)] for _ in range(arity)]
+    own = ["--json", "--verify"] if command and command.verify else ["--json"]
+    flags = st.sampled_from(["--json", "--verify"] if now_and_then() else own)
+    units += [[flag] for flag in draw(st.lists(flags, max_size=3, unique=not now_and_then()))]
+    if name == "verify" or now_and_then():
+        options = st.sampled_from(("--max-rank", "--max-S"))
+        for option in draw(st.lists(options, max_size=3, unique=not now_and_then())):
+            units.append([option] if now_and_then() else [option, draw(_VALUES)])
+    if now_and_then():
+        units.append([draw(_STRAY_TOKENS)])
+    if now_and_then():
+        name = draw(st.sampled_from(("-h", "--json", "bogus", "e")))
+    return [name, *(token for unit in draw(st.permutations(units)) for token in unit)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_front_end_argv())
+@example(["verify", "--max-rank", "-e"])
+@example(["verify", "--json", "--max-S"])
+@example(["level", "-1"])
+@example(["spaths", "e", "--", "-", "0"])
+@example(["down", "e", "22", "--verify", "--json", "--verify"])
+def test_query_reader_agrees_with_argparse(argv):
+    # whatever the reader takes, argparse takes too, into the same fields;
+    # the rest is left to argparse
+    read = cli._read_query(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    if read is not None:
+        assert vars(read) == parsed
+
+
+def test_query_reader_takes_every_well_formed_query():
+    # each command with its positionals, and with all of its flags first or
+    # after its first positional, is read without argparse, as argparse reads it
+    for name, command in cli.COMMANDS.items():
+        values = [str(k) for k in range(len(command.positionals))]
+        flags = ["--json", "--verify"] if command.verify else ["--json"]
+        for argv in (
+            [name, *values],
+            [name, *flags, *values],
+            [name, values[0], *flags[::-1], *values[1:]],
+        ):
+            read = vars(cli._read_query(argv))
+            assert read == vars(cli._build_parser().parse_args(argv)), argv
+    for argv in (["verify"], ["verify", "--max-S", "1", "--json", "--max-rank", "7"]):
+        assert vars(cli._read_query(argv)) == vars(cli._build_parser().parse_args(argv))
+
+
+# Text for --json payloads: ASCII with its controls and DEL, quotes and
+# backslashes, non-ASCII, astral characters and lone surrogates
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.sampled_from('"\\\x7f\x00\x1f\u2028\ud800\udfff\U0001f600é'),
+        st.characters(exclude_categories=()),
+    )
+)
+_MILLIS = st.floats(allow_nan=False, allow_infinity=False)
+_SECTION = st.fixed_dictionaries(
+    {
+        "name": _JSON_TEXT,
+        "caps": st.dictionaries(_JSON_TEXT, st.integers(), max_size=3),
+        "checks": st.integers(),
+        "skipped": st.integers(),
+        "failures": st.integers(),
+        "millis": _MILLIS,
+    }
+)
+
+
+@st.composite
+def _payload(draw):
+    value = draw(st.one_of(_JSON_TEXT, st.just("7" * 90_000)))
+    oracle_value = draw(st.none() | _JSON_TEXT | st.just(value))
+    agree = draw(st.none() | st.booleans())
+    payload = cli._result(
+        draw(_JSON_TEXT), draw(st.lists(_JSON_TEXT, max_size=4)), value, oracle_value, agree,
+        draw(_MILLIS),
+    )
+    if draw(st.booleans()):
+        payload["sections"] = draw(st.lists(_SECTION, max_size=3))
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payload())
+def test_json_lines_match_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(payload)
 
 
 def test_verify_passes(capsys):

@@ -369,7 +369,7 @@ def test_xi_row_divides_exactly_at_the_s_cap(monkeypatch):
     # a k = 0 term off by one leaves a remainder in the xi divide, which is
     # an inconsistency, whether xi or count_s_paths built the term
     real = counts._xi_head
-    monkeypatch.setattr(counts, "_xi_head", lambda Y, S, K: real(Y, S, K) + 1)
+    monkeypatch.setattr(counts, "_xi_head", lambda Y, S, odds: real(Y, S, odds) + 1)
     x = Word((1,) * 2 * m)
     with pytest.raises(InconsistencyError, match=r"^xi\("):
         count_s_paths(x, x, S)
@@ -386,8 +386,9 @@ def test_xi_head_is_xi_zero_over_the_shared_double_factorial(X, Y, S):
     # from 0 (S = 0, or X < 2) to S (S <= X // 2)
     K = min(X // 2, S)
     common = odd_double_factorial(2 * (S - K) - 1)
+    odds = counts._head_odds(S, K)
     for i in range(X + 1):
-        assert counts._xi_head(Y - i, S, K) * common == xi_zero(Y - i, S), i
+        assert counts._xi_head(Y - i, S, odds) * common == xi_zero(Y - i, S), i
 
 
 def test_xi_head_divides_exactly(monkeypatch):
@@ -395,24 +396,30 @@ def test_xi_head_divides_exactly(monkeypatch):
     real = counts.perm
     monkeypatch.setattr(counts, "perm", lambda n, k: real(n, k) + 1)
     with pytest.raises(InconsistencyError, match=r"^39999!! / 39919!! "):
-        counts._xi_head(3000, 20_000, 40)
+        counts._head_odds(20_000, 40)
 
 
 def test_s_paths_evaluates_one_horner_sum(monkeypatch):
     calls = []
     real = counts._xi_over
     monkeypatch.setattr(counts, "_xi_over", lambda X, *rest: calls.append(X) or real(X, *rest))
+    odds = []
+    real_odds = counts._head_odds
+    monkeypatch.setattr(counts, "_head_odds", lambda S, K: odds.append((S, K)) or real_odds(S, K))
     x, y = w("2212"), w("21212121")
     row = weight_row(x, y)
     assert row.count(0) > x.rank // 2
     count_s_paths(x, y, 5)
     # every shift comes from the recurrence; the term sum runs once, at
-    # shift 0, to check where the recurrence ends
+    # shift 0, to check where the recurrence ends, and the heads of both
+    # share one odd product
     assert calls == [x.rank]
+    assert odds == [(5, x.rank // 2)]
     calls.clear()
+    odds.clear()
     with pytest.raises(ValueError, match="needs rank"):
         count_s_paths(y, x, 5)
-    assert calls == []
+    assert calls == odds == []
 
 
 def test_xi_shift_recurrence_matches_oracle():
@@ -436,8 +443,8 @@ def test_s_paths_checks_the_recurrence_against_the_term_sum(monkeypatch, x, y, S
     real_sum = counts._xi_over
 
     def sum_off_by_one(*args):
-        value, K = real_sum(*args)
-        return value + 1, K
+        value, *rest = real_sum(*args)
+        return value + 1, *rest
 
     with monkeypatch.context() as mp:
         mp.setattr(counts, "_xi_over", sum_off_by_one)
@@ -453,7 +460,9 @@ def test_s_paths_checks_the_recurrence_against_the_term_sum(monkeypatch, x, y, S
             mp.setattr(
                 counts,
                 "_xi_head",
-                lambda Y, S, K: fault(real_head(Y, S, K)) if Y == start else real_head(Y, S, K),
+                lambda Y, S, odds: (
+                    fault(real_head(Y, S, odds)) if Y == start else real_head(Y, S, odds)
+                ),
             )
             with pytest.raises(InconsistencyError, match=r"^xi\("):
                 count_s_paths(x, y, S)

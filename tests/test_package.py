@@ -104,7 +104,6 @@ CALLED_FROM_OUTSIDE = {
     "counts.count_s_paths_from_top": "the check of perfbench's spaths-wide workload",
     "functions.clear_caches": "documented in the README",
     "oracle.clear_caches": "documented in the README",
-    "cli._Parser.error": "called by argparse",
     "words.Word.twos": "a documented property of the public Word, read by tests",
 }
 
@@ -139,10 +138,14 @@ def test_src_defines_only_what_src_runs():
     assert unreached == set(CALLED_FROM_OUTSIDE)
 
 
+# What no well-formed query imports: argparse, and the gettext it imports,
+# which only help and usage errors need, and json, whose one dumps per query
+# the CLI's own writer does.
+FRONT_END = {"argparse", "gettext", "json"}
 # Modules no point query runs: dataclasses, and the inspect it imports, for
 # small value classes; fractions for f values only; the identity suites for
-# verify only.
-NOT_FOR_POINT_QUERIES = {"dataclasses", "inspect", "fractions", "yfpaths.invariants"}
+# verify only; and the front end's.
+NOT_FOR_POINT_QUERIES = {"dataclasses", "inspect", "fractions", "yfpaths.invariants", *FRONT_END}
 
 # Runs yf in a fresh interpreter, then prints the modules it loaded beyond
 # the bare interpreter's own, space-separated, on the last line.
@@ -180,12 +183,35 @@ def test_point_queries_import_only_what_they_run(argv):
     assert loaded.isdisjoint(NOT_FOR_POINT_QUERIES), loaded & NOT_FOR_POINT_QUERIES
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("down", "e", "22"),
+        ("traj", "--json", "e", "22", "4,3,2,1,0"),
+        ("spaths", "e", "22", "2", "--verify"),
+        ("f", "21", "2", "1"),
+        ("f", "21", "2", "1", "--json", "--verify"),
+        ("xi", "2", "4", "2", "1"),
+        ("level", "3"),
+        ("level", "3", "--json"),
+        ("dot", "--json", "2"),
+        ("verify", "--max-S", "0", "--json", "--max-rank", "2"),
+    ],
+)
+def test_well_formed_queries_import_no_front_end(argv):
+    # help and usage errors build the argparse parser; a well-formed query,
+    # with or without its flags, in any order, does not
+    loaded = _loaded_by(*argv)
+    assert loaded.isdisjoint(FRONT_END), loaded & FRONT_END
+
+
 def test_f_values_and_verify_import_what_they_need():
     loaded = _loaded_by("f", "21", "2", "1", "--verify", "--json")
     assert "fractions" in loaded and "yfpaths.invariants" not in loaded
     # the identity suites read f as integer pairs, so verify builds no Fraction
     verify = _loaded_by("verify", "--max-rank", "6", "--max-S", "1")
     assert "yfpaths.invariants" in verify and "fractions" not in verify
+    assert verify.isdisjoint(FRONT_END), verify & FRONT_END
     # f values stay fractions, zero ones too (no suffix of 21 sums to 2)
     x = Word((2, 1))
     values = [f_rec(x, 3, 1), f_rec(x, 2, 1), f_base(x, 1), f_base(x, 2), f_explicit(x, 3, 1)]
