@@ -6,22 +6,25 @@ module deliberately imports only the word model and the trajectory model --
 never the formula machinery -- so that agreement between the two is
 meaningful evidence.
 
-Descents, trajectories and S-paths are one layered walk (:func:`_walk`): it
-keeps one front per number of up-steps taken, so the words of a front share
-one rank.  A walk's cost follows the shape of its fronts, not the rank it
-starts from: 1^1000 has one word per level, 2^19 about 150,000 at its
+Each path shape has one walker.  S-paths are one layered walk
+(:func:`_walk`) of steps that may go either way: it keeps one front per
+number of up-steps taken, so the words of a front share one rank; a descent
+is the walk with S = 0.  Trajectories are one trie walk
+(:func:`trajectory_distributions`): it steps a stack of fronts along
+trajectories sorted by their values, past only the prefix each shares with
+the one before.  A walk's cost follows the shape of its fronts, not the rank
+it starts from: 1^1000 has one word per level, 2^19 about 150,000 at its
 widest.  So every walk meters its own work, each front at its own rank, and
 raises :class:`EnumerationCapExceeded` past ``WORK_CAP``, at most ~1.3 s of
 walking.  The fronts hold plain digit tuples, stepped by one loop
 (:func:`_step`) over :func:`words.tuples_below`: a walk builds no word of
 its own.
 
-A point query takes the last front of its walk.  The ``verify`` sweeps walk
-each upper word once and read every target off that walk:
-:func:`s_path_distributions` reads each (X, S) off the fronts of one S-path
-walk as it passes rank X, and :func:`trajectory_distributions` steps a stack
-of fronts along trajectories sorted by their values, past only the prefix
-each shares with the one before.
+A point query takes the last front of its walk; only descents are memoized.
+The ``verify`` sweeps walk each upper word once and read every target off
+that walk: :func:`s_path_distributions` reads each (X, S) off the fronts of
+one S-path walk as it passes rank X, and the trie walk takes every
+trajectory of the word at once.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .words import Word, tuples_below
 Digits = tuple[int, ...]  # a word's digits; the walks' fronts are keyed by them
 Fronts = dict[int, dict[Digits, int]]  # one front per number of up-steps taken
 
-# Walks kept per memo.  ``verify --max-rank 8 --max-S 3`` comes back to 659
+# Descent walks kept.  ``verify --max-rank 8 --max-S 3`` comes back to 659
 # descent fronts (one per word and lower rank); its trajectory and S-path
-# sections walk each upper word once, past the memos.
+# sections walk each upper word once, past the memo.
 _WALKS = 1 << 10
 
 # Work one walk may do.  A walk over words charges each front the number of
@@ -60,9 +63,6 @@ _WORD_COST = 128
 _HEIGHT_COST = 5
 _BITS_PER_UNIT = 768
 
-# The up-steps (0 or 1) a walk's step of +1, -1 or 0 (either way) may take.
-_MOVES = {1: (1,), -1: (0,), 0: (0, 1)}
-
 
 def _charge(work: int, units: int) -> int:
     """``work`` plus ``units``, one front's charge.  Past ``WORK_CAP`` the
@@ -84,29 +84,23 @@ def _step(front: dict[Digits, int], up: int, into: dict[Digits, int]) -> None:
             into[v] = into.get(v, 0) + c
 
 
-def _walk(y: Word, steps: tuple[int, ...], S: int) -> Iterator[Fronts]:
-    """Propagate digits -> multiplicity fronts from ``y`` along ``steps``,
-    each +1, -1 or 0 for either way, and yield the fronts before the first
-    step and after each.  Front u holds the words reached by u up-steps, all
-    of rank y.rank - j + 2u after j steps, and u never passes ``S``.  Each
-    front is charged before it is stepped from; one whose S - u up-steps to
-    come no longer fit in the steps left is dropped.  The fronts yielded are
-    never changed afterwards.
-
-    One loop serves descents, trajectories and S-paths.  It pays ~0.4 us a
-    step over a loop written for one front (the loop over fronts, the
-    ``_MOVES`` lookup, the bounds test, ``setdefault``); inlining ``_charge``
-    or splitting the up and down branches won back little of that, so the
-    one loop stays."""
+def _walk(y: Word, length: int, S: int) -> Iterator[Fronts]:
+    """Propagate digits -> multiplicity fronts from ``y`` for ``length``
+    steps, each either way, and yield the fronts before the first step and
+    after each.  Front u holds the words reached by u up-steps, all of rank
+    y.rank - j + 2u after j steps, and u never passes ``S``: with S = 0 the
+    walk is a descent.  Each front is charged before it is stepped from; one
+    whose S - u up-steps to come no longer fit in the steps left is dropped.
+    The fronts yielded are never changed afterwards."""
     fronts = {0: {y.digits: 1}}
     yield fronts
-    rank, work, low = y.rank, 0, S - len(steps)  # rank: that of front 0
-    for step in steps:
+    rank, work, low = y.rank, 0, S - length  # rank: that of front 0
+    for _ in range(length):
         low += 1  # fewest up-steps a front may have taken after this step
         new: Fronts = {}
         for u, front in fronts.items():
             work = _charge(work, len(front) * (rank + 2 * u + _WORD_COST))
-            for up in _MOVES[step]:
+            for up in (0, 1):
                 if low <= u + up <= S:
                     _step(front, up, new.setdefault(u + up, {}))
         fronts = new
@@ -114,20 +108,12 @@ def _walk(y: Word, steps: tuple[int, ...], S: int) -> Iterator[Fronts]:
         yield fronts
 
 
-def _end(y: Word, steps: tuple[int, ...], S: int) -> dict[Digits, int]:
-    """The front of the walk from ``y`` along all of ``steps`` that took
-    ``S`` up-steps."""
-    for fronts in _walk(y, steps, S):
-        pass
-    return fronts.get(S, {})
-
-
 @lru_cache(maxsize=_WALKS)
 def _down(y: Word, X: int) -> dict[Digits, int]:
     """Counts of descending paths from ``y`` to every word of rank ``X``,
     keyed by its digits.  The memo hands the same dict to every caller:
     read it, never change it."""
-    return _end(y, (-1,) * (y.rank - X), 0)
+    return s_path_distribution(y, X, 0)
 
 
 def brute_count_down(x: Word, y: Word) -> int:
@@ -137,26 +123,17 @@ def brute_count_down(x: Word, y: Word) -> int:
     return _down(y, x.rank).get(x.digits, 0)
 
 
-@lru_cache(maxsize=_WALKS)
-def trajectory_distribution(y: Word, t: Trajectory) -> dict[Digits, int]:
-    """Path counts along ``t`` from ``y`` to every word at its final rank,
-    keyed by its digits.  The memo hands the same dict to every caller:
-    read it, never change it."""
-    if t.start != y.rank:
-        raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
-    return _end(y, t.steps, t.up_count)
-
-
 def trajectory_distributions(
     y: Word, trajectories: Iterable[Trajectory]
 ) -> Iterator[tuple[Trajectory, dict[Digits, int]]]:
-    """(t, trajectory_distribution(y, t)) for each of ``trajectories``, all
-    walked as one: the fronts along the last trajectory stay on a stack, and
-    each trajectory steps only past the values it shares with the one
-    before.  Sorted by their values, trajectories that share a prefix come
-    together, and each step is one node of their trie.  Each front is
-    charged as :func:`_walk` charges it, and the walk stops past
-    ``WORK_CAP``.  The fronts yielded are never changed afterwards."""
+    """(t, the path counts along t from ``y`` to every word at its final
+    rank, keyed by its digits) for each of ``trajectories``, all walked as
+    one: the fronts along the last trajectory stay on a stack, and each
+    trajectory steps only past the values it shares with the one before.
+    Sorted by their values, trajectories that share a prefix come together,
+    and each step is one node of their trie.  Each front is charged as
+    :func:`_walk` charges it, and the walk stops past ``WORK_CAP``.  The
+    fronts yielded are never changed afterwards."""
     stack = [{y.digits: 1}]  # stack[k]: the front after k steps of ``last``
     last: tuple[int, ...] = (y.rank,)
     work = 0
@@ -179,25 +156,26 @@ def trajectory_distributions(
 
 
 def brute_count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
-    """Trajectory path count by the multiplicity walk."""
+    """Trajectory path count by the trie walk of ``t`` alone."""
     if t.start != y.rank or t.end != x.rank:
         raise ValueError(
             f"trajectory endpoints ({t.start}, {t.end}) do not match "
             f"ranks ({y.rank}, {x.rank})"
         )
-    return trajectory_distribution(y, t).get(x.digits, 0)
+    [(_, front)] = trajectory_distributions(y, (t,))
+    return front.get(x.digits, 0)
 
 
-@lru_cache(maxsize=_WALKS)
 def s_path_distribution(y: Word, X: int, S: int) -> dict[Digits, int]:
     """Counts of S-up-step paths from ``y`` to every word of rank ``X``,
-    keyed by its digits: every step may go either way.  The memo hands the
-    same dict to every caller: read it, never change it."""
+    keyed by its digits: every step may go either way."""
     if y.rank < X:
         raise ValueError(f"s_path_distribution needs rank({y}) >= {X}")
     if S < 0 or X < 0:
         raise ValueError("X and S must be nonnegative")
-    return _end(y, (0,) * (y.rank - X + 2 * S), S)
+    for fronts in _walk(y, y.rank - X + 2 * S, S):
+        pass
+    return fronts.get(S, {})
 
 
 def s_path_distributions(y: Word, max_S: int) -> dict[tuple[int, int], dict[Digits, int]]:
@@ -210,7 +188,7 @@ def s_path_distributions(y: Word, max_S: int) -> dict[tuple[int, int], dict[Digi
     if max_S < 0:
         raise ValueError("max_S must be nonnegative")
     out = {}
-    for j, fronts in enumerate(_walk(y, (0,) * (y.rank + 2 * max_S), max_S)):
+    for j, fronts in enumerate(_walk(y, y.rank + 2 * max_S, max_S)):
         for S, front in fronts.items():
             X = y.rank - j + 2 * S
             if 0 <= X <= y.rank:
@@ -257,5 +235,4 @@ def brute_xi(X: int, Y: int, S: int, i: int = 0) -> int:
 
 
 def clear_caches() -> None:
-    for memo in (_down, trajectory_distribution, s_path_distribution):
-        memo.cache_clear()
+    _down.cache_clear()

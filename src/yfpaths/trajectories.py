@@ -61,10 +61,6 @@ class Trajectory(FrozenValue):
         return self.values[-1]
 
     @property
-    def steps(self) -> tuple[int, ...]:
-        return tuple(map(sub, self.values[1:], self.values))
-
-    @property
     def up_count(self) -> int:
         # up-steps minus down-steps is end - start, their sum the length
         return (self.length + self.end - self.start) // 2

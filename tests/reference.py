@@ -17,7 +17,7 @@ from itertools import combinations
 
 from yfpaths.functions import _validate_key, f_base, g_values
 from yfpaths.trajectories import Trajectory
-from yfpaths.words import EPSILON, Word, suffix_split
+from yfpaths.words import EPSILON, Word, predecessors, successors, suffix_split
 
 GoodSequence = tuple[int, ...]
 
@@ -40,6 +40,22 @@ def reverse(t: Trajectory) -> Trajectory:
     if t.start != t.end:
         raise ValueError(f"reversal needs equal endpoints, got {t.start} and {t.end}")
     return Trajectory(tuple(reversed(t.values)))
+
+
+def trajectory_walk(y: Word, t: Trajectory) -> dict[tuple[int, ...], int]:
+    """Path counts along ``t`` from ``y`` to every word at its final rank,
+    keyed by its digits as the oracle keys them: one front of words per
+    value of ``t``, stepped through the public neighbour lists."""
+    if t.start != y.rank:
+        raise ValueError(f"trajectory starts at {t.start}, word has rank {y.rank}")
+    front = {y: 1}
+    for a, b in zip(t.values, t.values[1:]):
+        new: dict[Word, int] = {}
+        for word, c in front.items():
+            for v in successors(word) if b > a else predecessors(word):
+                new[v] = new.get(v, 0) + c
+        front = new
+    return {word.digits: c for word, c in front.items()}
 
 
 def pseudo_trajectories(X: int, Y: int, S: int) -> list[tuple[int, ...]]:

@@ -37,7 +37,7 @@ from yfpaths.oracle import (
     brute_count_down,
     brute_xi,
     s_path_distribution,
-    trajectory_distribution,
+    trajectory_distributions,
 )
 from yfpaths.trajectories import enumerate_trajectories
 from yfpaths.words import (
@@ -145,8 +145,8 @@ def test_criterion_05_trajectory_paths_vs_oracle():
                     for rx in range(ry + 1):
                         if ry - rx + 2 * S > 8:
                             continue
-                        for t in enumerate_trajectories(rx, ry, S):
-                            dist = trajectory_distribution(y, t)
+                        ts = enumerate_trajectories(rx, ry, S)
+                        for t, dist in trajectory_distributions(y, ts):
                             for x in level(rx):
                                 assert count_trajectory(x, y, t) == dist.get(x.digits, 0), (
                                     f"({x}, {y}, {t})"

@@ -1218,9 +1218,11 @@ def _argv(draw):
             value = draw(_INTEGER)
         values.append(value)
     flags = [flag for flag in ("--verify", "--json") if flag != "--verify" or command.verify]
-    # the flags first and the values after "--", so that argparse reads a
-    # value that starts with "-" as a value, not as an option
-    return [name, *draw(st.lists(st.sampled_from(flags), unique=True)), "--", *values]
+    # the flags first; "--" before the values only when one starts with "-",
+    # so that argparse reads it as a value, not as an option, while every
+    # other query reaches the reader
+    dashes = ["--"] if any(value.startswith("-") for value in values) else []
+    return [name, *draw(st.lists(st.sampled_from(flags), unique=True)), *dashes, *values]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1232,7 +1234,8 @@ def test_every_query_answers_or_fails_cleanly(argv):
         code = main(argv)
     seconds = time.perf_counter() - start
     out, err = out.getvalue(), err.getvalue()
-    flags = argv[1 : argv.index("--")]
+    head = argv[: argv.index("--")] if "--" in argv else argv  # "--" ends the flags
+    flags = [token for token in head if token.startswith("-")]
     assert seconds < _CALL_SECONDS
     assert code in ((0, 1, 2) if "--verify" in flags else (0, 1))
     assert "Traceback" not in out + err

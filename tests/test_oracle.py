@@ -2,7 +2,7 @@ from math import prod
 
 import pytest
 
-from reference import reverse
+from reference import reverse, trajectory_walk
 import yfpaths.oracle as oracle
 from yfpaths.oracle import (
     brute_count_down,
@@ -213,8 +213,9 @@ def test_s_dp_matches_trajectory_sum():
             for X in range(ry + 1):
                 for S in range(4):
                     want = {}
-                    for t in enumerate_trajectories(X, ry, S):
-                        for d, c in oracle.trajectory_distribution(y, t).items():
+                    ts = enumerate_trajectories(X, ry, S)
+                    for _, front in oracle.trajectory_distributions(y, ts):
+                        for d, c in front.items():
                             want[d] = want.get(d, 0) + c
                     assert oracle.s_path_distribution(y, X, S) == want, (y, X, S)
 
@@ -233,8 +234,9 @@ def test_s_path_distributions_match_point_walks():
 
 
 def test_trajectory_distributions_match_point_walks():
-    # the trie walk gives each trajectory what its own walk gives, sorted or
-    # not: the order only decides which prefixes are shared
+    # the trie walk gives each trajectory what a walk of its own over the
+    # public neighbour lists gives, sorted or not: the order only decides
+    # which prefixes are shared
     for ry in range(5):
         ts = sorted(
             (t for rx in range(ry + 1) for S in range(6) if ry - rx + 2 * S <= 8
@@ -246,7 +248,19 @@ def test_trajectory_distributions_match_point_walks():
                 walked = list(oracle.trajectory_distributions(y, order))
                 assert [t for t, _ in walked] == order
                 for t, front in walked:
-                    assert front == oracle.trajectory_distribution(y, t), (y, t)
+                    assert front == trajectory_walk(y, t), (y, t)
+
+
+def test_point_queries_keep_no_walk():
+    # only descents are memoized: a trajectory or S-path query keeps none of
+    # the fronts it walked once it has answered
+    oracle.clear_caches()
+    y = w("2121")
+    assert brute_count_trajectory(w("1"), y, Trajectory((6, 7, 6, 5, 4, 3, 2, 1))) > 0
+    assert brute_count_s(w("21"), y, 2) > 0
+    memos = [name for name, value in vars(oracle).items() if hasattr(value, "cache_info")]
+    assert memos == ["_down"]
+    assert oracle._down.cache_info().currsize == 0
 
 
 def test_trajectory_distributions_check_the_start():
