@@ -149,9 +149,10 @@ def _xi_head(Y: int, S: int, odds: int) -> int:
 
 
 def _xi_over(X: int, Y: int, S: int) -> tuple[int, int, int]:
-    """(xi(X, Y, S, 0) / d, K, odds) for Y >= X >= 0, with K = min(X // 2, S),
-    d = (2(S - K) - 1)!!, which divides every term of the sum, and
-    odds = ``_head_odds(S, K)``, built once for every head over d.
+    """(xi(X, Y, S, 0) / d, d, odds) for Y >= X >= 0, with
+    d = (2(S - K) - 1)!! for K = min(X // 2, S), which divides every term of
+    the sum, and odds = ``_head_odds(S, K)``, built once for every head over
+    d.
 
     The sum is over k of (-1)^k C(X, 2k) (2k - 1)!! xi_zero(Y, S - k), and term
     k is term k - 1 times -(X - 2k + 2)(X - 2k + 1)(S - k + 1) /
@@ -174,7 +175,7 @@ def _xi_over(X: int, Y: int, S: int) -> tuple[int, int, int]:
         a += 2
     g = gcd(p, q)
     value = _exact(_xi_head(Y, S, odds) * (p // g), q // g, "xi({}, {}, {}, 0)", X, Y, S)
-    return value, K, odds
+    return value, odd_double_factorial(2 * (S - K) - 1), odds
 
 
 def xi(X: int, Y: int, S: int, i: int = 0) -> int:
@@ -182,21 +183,21 @@ def xi(X: int, Y: int, S: int, i: int = 0) -> int:
 
     Valid for Y >= X >= i >= 0.  Shifts to (X - i, Y - i, S, 0) and expands
     as an alternating sum of K + 1 closed terms, each a multiple of the
-    (2(S - K) - 1)!! that ``_xi_over`` takes the sum over; that double
-    factorial is multiplied back once.
+    double factorial d that ``_xi_over`` takes the sum over and returns; d
+    is multiplied back once.
     """
     if not Y >= X >= i >= 0:
         raise ValueError(f"xi needs Y >= X >= i >= 0, got ({X}, {Y}, {S}, {i})")
     if S < 0:
         raise ValueError("S must be nonnegative")
-    value, K, _ = _xi_over(X - i, Y - i, S)
-    return odd_double_factorial(2 * (S - K) - 1) * value
+    value, d, _ = _xi_over(X - i, Y - i, S)
+    return d * value
 
 
 def _xi_shifts(X: int, Y: int, S: int) -> tuple[list[int], int]:
     """([T(a) / d for a in 0..X], d) for Y >= X >= 0, where
     T(a) = xi(a, a + u, S, 0) with u = Y - X is the xi of shift X - a, and
-    d = (2(S - K) - 1)!! with K = min(X // 2, S).
+    d = (2(S - K) - 1)!! with K = min(X // 2, S), as ``_xi_over`` builds it.
 
     T obeys (a + u) T(a) = (2S + u + 1) T(a - 1) + (a - 1) T(a - 2) for a >= 1
     (xi is holonomic along the shift; see Petkovsek, Wilf and Zeilberger,
@@ -207,7 +208,7 @@ def _xi_shifts(X: int, Y: int, S: int) -> tuple[list[int], int]:
     product the term sum of ``_xi_over`` built.  It ends at T(X), shift 0,
     which is checked against that term sum.
     """
-    check, K, odds = _xi_over(X, Y, S)
+    check, d, odds = _xi_over(X, Y, S)
     u = Y - X
     c = 2 * S + u + 1
     t = [_xi_head(u, S, odds)]
@@ -222,7 +223,7 @@ def _xi_shifts(X: int, Y: int, S: int) -> tuple[list[int], int]:
         raise InconsistencyError(
             f"xi({X}, {Y}, {S}, 0) from the shift recurrence differs from its term sum"
         )
-    return t, odd_double_factorial(2 * (S - K) - 1)
+    return t, d
 
 
 def count_s_paths(x: Word, y: Word, S: int) -> int:

@@ -14,9 +14,9 @@ with h the common-suffix length, is the coefficient array of the counting
 formulas.  Everything is exact.  The public values are
 ``fractions.Fraction``; the rest are plain integers: ``weight_row`` gives
 rank(x)! * weight(x, y, i) for every i to the counts, and the identity
-suites of :mod:`yfpaths.invariants` read f as (num, den) pairs (``f_row`` a
-whole row of them at one z, ``f_rows`` the rows at every z, ``_f_pair`` one
-entry) and f_base as the product it is the reciprocal of (``_base_den``).
+suites of :mod:`yfpaths.invariants` read f as (num, den) pairs (``_f_pair``
+one entry, ``f_rows`` every entry at every z) and f_base as the product it
+is the reciprocal of (``_base_den``).
 ``fractions`` is imported by the first ``Fraction`` built (see
 :func:`Fraction`), not with this module, so neither a count nor ``verify``
 ever loads it.
@@ -33,9 +33,10 @@ leaves the divisors in its den, which ``f_rec`` reduces into a memoized
 ``Fraction`` (the one memo here), and the row multiplies in only the
 factors that remain.
 
+``_f_pair`` alone decides how many digits the chain of an f value strips,
+and ``weight_row`` its own chain to the common suffix, each by its own scan;
 ``f_base`` takes its suffix split from :func:`yfpaths.words.suffix_split`,
-and the closed form reads only ``f_base`` and the g values; ``_f_rec``, the
-rows and ``weight_row`` find their splits by their own scans, so
+and the closed form reads only ``f_base`` and the g values, so
 ``f --verify`` compares two evaluators written apart.
 """
 
@@ -172,19 +173,28 @@ def _lagrange_walk(digits: tuple[int, ...], rank: int, i: int, m: int, s: int) -
     return (-1) ** i * comb(rank, i) * v, s - m
 
 
-def _f_pair(digits: tuple[int, ...], rank: int, y: int, m: int, s: int) -> tuple[int, int]:
-    """f(x, y, z) as (num, den), den nonzero, for the x with these digits and
-    rank: the chain of the recursion strips x's last m = min(k, z) digits,
-    of sum s, k being the most last digits whose sum stays <= y.
+def _f_pair(digits: tuple[int, ...], y: int, z: int) -> tuple[int, int]:
+    """f(x, y, z) as (num, den), den nonzero, for the x with these digits;
+    y must lie in 0..rank(x) and z in 0..digits(x).
 
-    rank! f_base(x, y) is (-1)^y C(rank, y) prod_g (g - y) (see weight_row),
-    and each of the t 2s the chain strips divides it by one (g - y)^2.  Where
-    no suffix sums to y (the last k digits sum to y - 1), y is the g value of
-    the 2 left of them, which the chain never strips, so num keeps the
-    factor g - y = 0.
+    The chain of the recursion strips x's last m = min(k, z) digits, k being
+    the most last digits whose sum stays <= y: the last z digits, less those
+    at their left end that take their sum past y.  rank! f_base(x, y) is
+    (-1)^y C(rank, y) prod_g (g - y) (see weight_row), and each of the t 2s
+    the chain strips divides it by one (g - y)^2, a g below y.  Where no
+    suffix sums to y, y is itself a g value, one the chain never strips, so
+    num keeps the factor g - y = 0: the pair is (0, 1), with no walk.
     """
-    lead, t = _lagrange_walk(digits, rank, y, m, s)
+    n = len(digits)
+    m, s = z, sum(digits[n - z:])  # the last m digits sum to s
+    while s > y:
+        m -= 1
+        s -= digits[n - m - 1]
     diffs = _g_less(digits, y)
+    if 0 in diffs:  # y is a g value
+        return 0, 1
+    rank = sum(digits)
+    lead, t = _lagrange_walk(digits, rank, y, m, s)
     if not t:  # the chain strips no 2, so there is no divisor to split off
         return lead * prod(diffs), factorial(rank)
     return lead * prod(diffs[t:]), factorial(rank) * prod(diffs[:t])
@@ -192,16 +202,7 @@ def _f_pair(digits: tuple[int, ...], rank: int, y: int, m: int, s: int) -> tuple
 
 @lru_cache(maxsize=1 << 15)
 def _f_rec(digits: tuple[int, ...], y: int, z: int) -> Fraction:
-    # every term of the chain is 0 when no suffix sums to y
-    n = len(digits)
-    k = s = 0  # the last k digits sum to s
-    while s < y:
-        k += 1
-        s += digits[n - k]
-    if s != y:
-        return Fraction(0)
-    m = min(k, z)  # the digits the chain strips
-    return Fraction(*_f_pair(digits, sum(digits), y, m, sum(digits[n - m:])))
+    return Fraction(*_f_pair(digits, y, z))
 
 
 def f_rec(x: Word, y: int, z: int) -> Fraction:
@@ -211,35 +212,20 @@ def f_rec(x: Word, y: int, z: int) -> Fraction:
     return _f_rec(x.digits, y, z)
 
 
-def f_row(x: Word, z: int) -> list[tuple[int, int]]:
-    """[f(x, y, z) as (num, den) for y in 0..rank(x)], by the evaluator of
-    :func:`f_rec`: (0, 1) where no suffix of x sums to y.  No ``Fraction``
-    is built, and x's suffix sums are found once for the whole row; z must
-    lie in 0..digits(x)."""
-    digits = x.digits
-    rank = x.rank
-    sums = list(accumulate(reversed(digits), initial=0))
-    row = [(0, 1)] * (rank + 1)
-    for k, y in enumerate(sums):
-        m = min(k, z)  # the digits the chain strips
-        row[y] = _f_pair(digits, rank, y, m, sums[m])
-    return row
-
-
 def f_rows(x: Word) -> list[list[tuple[int, int]]]:
-    """[f_row(x, z) for z in 0..digits(x)], each entry evaluated once: it
-    depends on z only through the digits its chain strips, m = min(k, z), so
-    the row at z is the one at z - 1 with the entries of k >= z taken at
-    m = z."""
+    """[[f(x, y, z) as (num, den) for y in 0..rank(x)] for z in
+    0..digits(x)], by the evaluator of :func:`f_rec`, each entry evaluated
+    once: (0, 1) where no suffix of x sums to y, and an entry depends on z
+    only through the digits its chain strips, m = min(k, z), so the row at z
+    is the one at z - 1 with the entries of k >= z evaluated again."""
     digits = x.digits
-    rank = x.rank
     sums = list(accumulate(reversed(digits), initial=0))
-    row = [(0, 1)] * (rank + 1)
+    row = [(0, 1)] * (x.rank + 1)
     rows = []
-    for z, s in enumerate(sums):
+    for z in range(len(sums)):
         row = row.copy()
         for y in sums[z:]:
-            row[y] = _f_pair(digits, rank, y, z, s)
+            row[y] = _f_pair(digits, y, z)
         rows.append(row)
     return rows
 

@@ -3,11 +3,11 @@
 Each checker sweeps every word up to a digit-count bound, evaluates both
 sides of one identity with exact arithmetic, and yields one outcome per
 check: True, or a label describing the failure.  :func:`tally` counts them.
-f is read as integer (num, den) pairs: a row at a time where a suite reads
-every y (``f_row`` at one z, ``f_rows`` at every z), one entry (``_f_pair``)
-where it reads one, and f_base as the product it is the reciprocal of
-(``_base_den``).  So each check is integer arithmetic, mostly one
-cross-multiplication, and no ``Fraction`` is built.  A suite that reads a
+f is read as integer (num, den) pairs: every entry at every z
+(``f_rows``) where a suite reads a word's whole table, one entry
+(``_f_pair``) where it reads one, and f_base as the product it is the
+reciprocal of (``_base_den``).  So each check is integer arithmetic,
+mostly one cross-multiplication, and no ``Fraction`` is built.  A suite that reads a
 word's values in more than one role evaluates them once.
 They back the `verify` command and the acceptance suite; an empty failure
 list is the expected outcome on a correct build.
@@ -15,12 +15,11 @@ list is the expected outcome on a correct build.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, product
+from itertools import product
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator
 
-from .functions import _base_den, _f_pair, f_row, f_rows, g_product, g_values
+from .functions import _base_den, _f_pair, f_rows, g_product, g_values
 from .words import EPSILON, Word, common_suffix_len
 
 Outcomes = Iterator[bool | str]  # each check: True, or its failure label
@@ -36,13 +35,6 @@ def _base_row(x: Word) -> list[Pair]:
     """[f_base(x, y) as a pair for y in 0..rank(x)]."""
     dens = [_base_den(x, y) for y in range(x.rank + 1)]
     return [(1, den) if den else (0, 1) for den in dens]
-
-
-def _f_at(x: Word, sums: list[int], y: int, z: int) -> Pair:
-    """f(x, y, z) as a pair, ``sums`` being x's suffix sums, whether or not
-    one of them is y (see :func:`yfpaths.functions._f_pair`)."""
-    m = min(bisect_right(sums, y) - 1, z)
-    return _f_pair(x.digits, x.rank, y, m, sums[m])
 
 
 def words_up_to_digits(max_digits: int) -> Iterator[Word]:
@@ -84,23 +76,23 @@ def check_low_order_values(max_digits: int) -> Outcomes:
     """f(x, 0, z) does not depend on z: it is f_base(x, 0) at every z;
     f(x, 1, z) = 0 for z >= 1; and f(x, 1, 0) = 0 when x ends in 2."""
     for x in words_up_to_digits(max_digits):
-        sums = list(accumulate(reversed(x.digits), initial=0))
+        digits = x.digits
         base = (1, _base_den(x, 0))  # f_base(x, 0) is never 0
         for z in range(x.digit_count + 1):
-            holds = _products_equal(_f_at(x, sums, 0, z), 1, base, 1)
+            holds = _products_equal(_f_pair(digits, 0, z), 1, base, 1)
             yield holds or f"y=0 z-dependence at ({x}, z={z})"
             if x.rank >= 1 and z >= 1:
-                yield _f_at(x, sums, 1, z)[0] == 0 or f"y=1 nonzero at ({x}, z={z})"
-        if x.digits and x.digits[-1] == 2:
-            yield _f_at(x, sums, 1, 0)[0] == 0 or f"trailing-2 y=1 nonzero at {x}"
+                yield _f_pair(digits, 1, z)[0] == 0 or f"y=1 nonzero at ({x}, z={z})"
+        if digits and digits[-1] == 2:
+            yield _f_pair(digits, 1, 0)[0] == 0 or f"trailing-2 y=1 nonzero at {x}"
 
 
 def check_two_vs_one_one(max_digits: int) -> Outcomes:
     """A trailing 2 at z = 0 evaluates like a trailing 11 at z = 1."""
     for x in words_up_to_digits(max_digits):
-        columns = zip(_base_row(Word(x.digits + (2,))), f_row(Word(x.digits + (1, 1)), 1))
-        for i, (f2, f11) in enumerate(columns):
-            holds = _products_equal(f2, 1, f11, 1)
+        x11 = x.digits + (1, 1)
+        for i, f2 in enumerate(_base_row(Word(x.digits + (2,)))):
+            holds = _products_equal(f2, 1, _f_pair(x11, i, 1), 1)
             yield holds or f"trailing 2 vs 11 at ({x}, i={i})"
 
 
@@ -148,9 +140,8 @@ def check_top_value_vanishes(max_digits: int) -> Outcomes:
     """For a word starting with 2, f one below the top y vanishes for every z."""
     for x in words_up_to_digits(max_digits):
         w = Word((2,) + x.digits)
-        sums = list(accumulate(reversed(w.digits), initial=0))
         for z in range(w.digit_count + 1):
-            holds = _f_at(w, sums, x.rank + 1, z)[0] == 0
+            holds = _f_pair(w.digits, x.rank + 1, z)[0] == 0
             yield holds or f"leading-2 near-top value at ({w}, z={z})"
 
 

@@ -8,10 +8,10 @@ import pytest
 from reference import f_explicit_terms, suffix_sum
 from yfpaths.functions import (
     _base_den,
+    _f_pair,
     f_base,
     f_explicit,
     f_rec,
-    f_row,
     f_rows,
     g_product,
     g_values,
@@ -159,15 +159,42 @@ def test_key_range_errors():
 
 
 def test_f_row_and_base_den_agree_with_f_rec_and_f_base():
-    # the row shapes, and the pair shape inside them, against the Fraction one
+    # the rows, and the pair shape inside them, against the Fraction one and
+    # against the pair read one at a time, at every y, suffix sum or not
     for x in words_up_to_digits(7):
         ys = range(x.rank + 1)
-        rows = [f_row(x, z) for z in range(x.digit_count + 1)]
-        for z, row in enumerate(rows):
+        for z, row in enumerate(f_rows(x)):
             assert [F(*pair) for pair in row] == [f_rec(x, y, z) for y in ys], f"{x}, z={z}"
-        assert f_rows(x) == rows, f"{x}"
+            for y, (num, den) in enumerate(row):
+                pn, pd = _f_pair(x.digits, y, z)
+                assert pd and num * pd == pn * den, f"{x}, y={y}, z={z}"
         dens = [_base_den(x, y) for y in ys]
         assert [F(1, den) if den else F(0) for den in dens] == [f_base(x, y) for y in ys], f"{x}"
+
+
+def test_zero_keys_take_no_walk(monkeypatch):
+    # where no suffix of x sums to y, y is a g value of x that the chain
+    # never strips, so f is 0 with no walk, binomial or factorial
+    import yfpaths.functions as functions
+
+    def unreachable(*args):
+        raise AssertionError("a zero key reached the walk")
+
+    keys = [
+        (x.digits, y, z)
+        for x in words_up_to_digits(7)
+        for y in set(range(x.rank + 1)) - set(_suffix_sums(x))
+        for z in range(x.digit_count + 1)
+    ]
+    assert len(keys) > 1000
+    functions.clear_caches()
+    for name in ("_lagrange_walk", "_walk", "comb", "factorial"):
+        monkeypatch.setattr(functions, name, unreachable)
+    for key in keys:
+        assert _f_pair(*key)[0] == 0, key
+    twos = Word((2,) * 1500)
+    assert all(f_rec(twos, y, 3) == 0 for y in range(1, twos.rank, 2))
+    functions.clear_caches()
 
 
 def test_base_zero_when_no_suffix_split():
@@ -231,7 +258,7 @@ def test_explicit_is_built_apart(monkeypatch):
         raise AssertionError("the closed form reached the recursion")
 
     monkeypatch.setattr(Word, "__init__", counted)
-    for name in ("f_rec", "_f_rec", "_lagrange_walk", "_walk", "weight_row"):
+    for name in ("f_rec", "_f_rec", "_f_pair", "_lagrange_walk", "_walk", "weight_row"):
         monkeypatch.setattr(functions, name, unreachable)
     assert [f_explicit(*key) for key in keys] == expected
     assert built == []

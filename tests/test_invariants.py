@@ -68,27 +68,13 @@ def test_suites_flag_one_wrong_f_value(suite, expected):
     assert set(failures) == expected
 
 
-def _wrong_row_entry(bad, y):
-    # f_row, with f(x, y, z) one too large at the (word, z) ``bad``
-    original = invariants.f_row
-
-    def f_row(x, z):
-        row = original(x, z)
-        if (str(x), z) == bad:
-            num, den = row[y]
-            row[y] = (num + den, den)
-        return row
-
-    return f_row
-
-
-def _wrong_pair(bad):
-    # _f_pair, one too large at the (word, y, m) ``bad``
+def _wrong_pair(digits, y, zs):
+    # _f_pair, one too large at the word with these digits, y and each z in zs
     original = invariants._f_pair
 
-    def _f_pair(digits, rank, y, m, s):
-        num, den = original(digits, rank, y, m, s)
-        return (num + den, den) if (digits, y, m) == bad else (num, den)
+    def _f_pair(d, y_, z):
+        num, den = original(d, y_, z)
+        return (num + den, den) if (d, y_) == (digits, y) and z in zs else (num, den)
 
     return _f_pair
 
@@ -107,20 +93,20 @@ def _wrong_base(bad):
 @pytest.mark.parametrize(
     "suite, name, fault, expected",
     [
-        # y = 1 has no suffix of 12, so every z reads f(12, 1, .) with the
-        # chain stripping nothing: the same pair three times
-        (check_low_order_values, "_f_pair", _wrong_pair(((1, 2), 1, 0)),
+        # y = 1 has no suffix of 12, so f(12, 1, z) is 0 at every z, each
+        # read once
+        (check_low_order_values, "_f_pair", _wrong_pair((1, 2), 1, range(3)),
          {"y=1 nonzero at (12, z=1)", "y=1 nonzero at (12, z=2)", "trailing-2 y=1 nonzero at 12"}),
-        # nor at y = 0: every z reads f(21, 0, .) from one pair, which is
-        # checked against f_base(21, 0), so a wrong one fails at z >= 1 too
-        (check_low_order_values, "_f_pair", _wrong_pair(((2, 1), 0, 0)),
+        # the chain of f(21, 0, z) strips nothing at any z, and each z is
+        # checked against f_base(21, 0)
+        (check_low_order_values, "_f_pair", _wrong_pair((2, 1), 0, range(3)),
          {"y=0 z-dependence at (21, z=0)", "y=0 z-dependence at (21, z=1)",
           "y=0 z-dependence at (21, z=2)"}),
         # the chain of f(221, 4, z) stops short of the leading 2: at z >= 2
         # it strips 21
-        (check_top_value_vanishes, "_f_pair", _wrong_pair(((2, 2, 1), 4, 2)),
+        (check_top_value_vanishes, "_f_pair", _wrong_pair((2, 2, 1), 4, (2, 3)),
          {"leading-2 near-top value at (221, z=2)", "leading-2 near-top value at (221, z=3)"}),
-        (check_two_vs_one_one, "f_row", _wrong_row_entry(("211", 1), 2),
+        (check_two_vs_one_one, "_f_pair", _wrong_pair((2, 1, 1), 2, (1,)),
          {"trailing 2 vs 11 at (2, i=2)"}),
         (check_two_vs_one_one, "_base_den", _wrong_base(("12", 0)),
          {"trailing 2 vs 11 at (1, i=0)"}),
