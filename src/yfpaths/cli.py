@@ -174,11 +174,12 @@ def _too_long(max_rank: int, max_s: int) -> int:
 
 
 def _trajectory_cases(max_rank: int, max_s: int):
-    """((x, y, t), oracle count) for every trajectory t of at most ``max_s``
-    up-steps and ``TRAJ_LENGTH_CAP`` steps between words y and x of rank at
-    most ``max_rank``, by y, then t, then x.  The trajectories of each
-    (rank x, rank y, S) are enumerated once, and those of each upper rank
-    walked from each of its words as one, sorted by their values."""
+    """((x, y, ts), their oracle counts) for every word pair y, x of rank
+    at most ``max_rank``, with ts every trajectory from rank y to rank x of
+    at most ``max_s`` up-steps and ``TRAJ_LENGTH_CAP`` steps, by y, then x,
+    then t.  The trajectories of each (rank x, rank y, S) are enumerated
+    once, and those of each upper rank walked from each of its words as one,
+    sorted by their values."""
     levels = [level(n) for n in range(max_rank + 1)]
     for ry, ys in enumerate(levels):
         ts = sorted(
@@ -188,9 +189,29 @@ def _trajectory_cases(max_rank: int, max_s: int):
             key=attrgetter("values"),
         )
         for y in ys:
+            by_end: list[list[tuple[Trajectory, dict]]] = [[] for _ in range(ry + 1)]
             for t, front in oracle.trajectory_distributions(y, ts):
-                for x in levels[t.end]:
-                    yield (x, y, t), front.get(x.digits, 0)
+                by_end[t.end].append((t, front))
+            for walked, xs in zip(by_end, levels):
+                ends = [t for t, _ in walked]
+                for x in xs:
+                    yield (x, y, ends), [front.get(x.digits, 0) for _, front in walked]
+
+
+def _trajectory_agreements(cases) -> Iterator[bool | str]:
+    """For each case of :func:`_trajectory_cases`, one outcome per
+    trajectory, as :func:`_agreements` gives them, from one call of
+    ``counts._trajectory_counts``.  An inconsistency inside it fails every
+    trajectory of the case, none of whose counts it returned."""
+    label = "({}, {}, {})"
+    for (x, y, ts), wants in cases:
+        try:
+            gots = counts._trajectory_counts(x, y, ts)
+        except InconsistencyError as exc:
+            yield from (f"{label.format(x, y, t)}: {exc}" for t in ts)
+            continue
+        for t, got, want in zip(ts, gots, wants):
+            yield got == want or f"{label.format(x, y, t)}: {got} != {want}"
 
 
 def _s_path_cases(max_rank: int, max_s: int):
@@ -243,8 +264,8 @@ def run_verification(max_rank: int, max_s: int) -> list[dict]:
             counts.count_down_from_top, "({})",
             _against(partial(oracle.brute_count_down, EPSILON), words(max_rank)))),
         ("trajectory-paths", {"rank": traj_rank, "S": max_s, "length": TRAJ_LENGTH_CAP},
-         _too_long(traj_rank, max_s), sweep(
-            counts.count_trajectory, "({}, {}, {})", _trajectory_cases(traj_rank, max_s))),
+         _too_long(traj_rank, max_s), partial(
+            invariants.tally, _trajectory_agreements(_trajectory_cases(traj_rank, max_s)))),
         ("s-paths", {"rank": spath_rank, "S": max_s}, 0, sweep(
             counts.count_s_paths, "({}, {}, S={})", _s_path_cases(spath_rank, max_s))),
         ("up-value sums", {"rank": xi_rank, "S": max_s}, 0, sweep(

@@ -13,7 +13,10 @@ over its own integer row rank(x)! * weight (see :func:`weight_row`) and
 divides by rank(x)! once.  c_i is 1 for ``count_down``; prod_e (e - i) over
 the up-values for ``count_trajectory``, 0 at every shift that is an
 up-value, where the row is left unbuilt; and xi at shift i for
-``count_s_paths``.
+``count_s_paths``.  ``count_trajectory`` is ``_trajectory_counts`` of one
+trajectory: that counts any trajectories of one word pair from one row,
+left unbuilt at the up-values they all share, each checked on its own, so
+``verify`` builds one row per word pair, not one per trajectory.
 
 The trajectory dependence enters only through alternating sums over
 up-values, which collapse to the closed-form ``xi`` values built from
@@ -36,8 +39,10 @@ result to be a nonnegative integer before it is returned.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
+from functools import reduce
 from math import comb, factorial, gcd, perm, prod
+from operator import and_
 
 from .functions import InconsistencyError, g_values, weight_row
 from .trajectories import Trajectory
@@ -98,27 +103,45 @@ def count_down_from_top(x: Word) -> int:
 def count_trajectory(x: Word, y: Word, t: Trajectory) -> int:
     """Number of paths from y to x whose rank profile equals ``t``: the
     weight row summed against prod_e (e - i) over the up-values e of t."""
-    if t.start != y.rank or t.end != x.rank:
-        raise ValueError(
-            f"trajectory endpoints ({t.start}, {t.end}) do not match "
-            f"ranks ({y.rank}, {x.rank})"
-        )
+    return _trajectory_counts(x, y, (t,))[0]
+
+
+def _trajectory_counts(x: Word, y: Word, ts: Sequence[Trajectory]) -> list[int]:
+    """[count_trajectory(x, y, t) for t in ts], ts nonempty, from one weight
+    row: it is left 0 at the up-values common to every t, where each t's
+    factor is 0, and built everywhere else."""
+    for t in ts:
+        if t.start != y.rank or t.end != x.rank:
+            raise ValueError(
+                f"trajectory endpoints ({t.start}, {t.end}) do not match "
+                f"ranks ({y.rank}, {x.rank})"
+            )
     what = "count_trajectory({}, {}, {})"
-    ups = Counter(t.up_values)
-    row = _row(x, y, ups, what, x, y, t)
-    # prod_e (e - i) over the up-values, as one power per multiplicity m of
-    # the product of the up-values that occur m times; it is 0 at every
-    # shift i that is an up-value, where the row is left 0
-    by_count: dict[int, list[int]] = {}
-    for e, m in ups.items():
-        by_count.setdefault(m, []).append(e)
-    groups = by_count.items()
-    total = sum(
-        w * prod(pow(prod(e - i for e in es), m) for m, es in groups)
-        for i, w in enumerate(row)
-        if w
-    )
-    return _as_count(total, what, x, y, t, scale=factorial(x.rank))
+    ups = [Counter(t.up_values) for t in ts]
+    # the up-values every t shares: ups[0] itself for one t, with no copy
+    row = _row(x, y, reduce(and_, ups), what, x, y, ts[0])
+    shifts = [(i, w) for i, w in enumerate(row) if w]
+    scale = factorial(x.rank)
+    out = []
+    for t, up in zip(ts, ups):
+        # prod_e (e - i) over the up-values, as one power per multiplicity m
+        # of the product of the up-values that occur m times; it is 0 at
+        # every shift i that is an up-value
+        by_count: dict[int, list[int]] = {}
+        for e, m in up.items():
+            by_count.setdefault(m, []).append(e)
+        groups = by_count.items()
+        total = 0
+        for i, w in shifts:
+            # plain loops: a generator per factor costs more than its product
+            for m, es in groups:
+                g = 1
+                for e in es:
+                    g *= e - i
+                w *= g**m
+            total += w
+        out.append(_as_count(total, what, x, y, t, scale=scale))
+    return out
 
 
 def odd_double_factorial(n: int) -> int:

@@ -21,9 +21,9 @@ is the reciprocal of (``_base_den``).
 :func:`Fraction`), not with this module, so neither a count nor ``verify``
 ever loads it.
 
-``_f_pair``, behind ``f_rec`` and the rows, and ``weight_row`` share one
-evaluation of the recursion.  The g values of x are the m in 0..rank(x)
-that no suffix digit sum of x hits, so rank(x)! * f_base(x, i) is
+``_f_pair``, behind ``f_rec``, and ``weight_row`` share one evaluation of
+the recursion.  The g values of x are the m in 0..rank(x) that no suffix
+digit sum of x hits, so rank(x)! * f_base(x, i) is
 (-1)^i C(rank, i) prod_g (g - i) at a suffix sum i and 0 elsewhere.  The
 recursion from there strips digits of x's suffix and divides by (g - i)^2
 at each 2; one backward walk over those digits (``_walk``) sums it times
@@ -31,13 +31,17 @@ the factors it would divide by.  Both evaluators take that start and walk
 from one helper (``_lagrange_walk``), so neither divides: ``_f_pair``
 leaves the divisors in its den, which ``f_rec`` reduces into a memoized
 ``Fraction`` (the one memo here), and the row multiplies in only the
-factors that remain.
+factors that remain.  ``f_rows`` takes the same start but walks each
+suffix sum's chains the other way, one walk for all of them, reaching
+neither ``_f_pair`` nor the walk helpers.
 
-``_f_pair`` alone decides how many digits the chain of an f value strips,
-and ``weight_row`` its own chain to the common suffix, each by its own scan;
-``f_base`` takes its suffix split from :func:`yfpaths.words.suffix_split`,
-and the closed form reads only ``f_base`` and the g values, so
-``f --verify`` compares two evaluators written apart.
+Each evaluator decides how many digits its chains strip by its own scan:
+``_f_pair`` one chain from the suffix split of y
+(:func:`yfpaths.words.suffix_split`, which ``f_base`` reads too),
+``f_rows`` every chain of a column as its walk passes it, and
+``weight_row`` each chain to the common suffix.  The tests compare the rows
+with ``_f_pair`` entry by entry, and the closed form reads only ``f_base``
+and the g values, so ``f --verify`` compares two evaluators written apart.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from collections.abc import Collection
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
+from operator import mul
 
 from .words import Word, common_suffix_len, suffix_split
 
@@ -177,22 +182,20 @@ def _f_pair(digits: tuple[int, ...], y: int, z: int) -> tuple[int, int]:
     """f(x, y, z) as (num, den), den nonzero, for the x with these digits;
     y must lie in 0..rank(x) and z in 0..digits(x).
 
-    The chain of the recursion strips x's last m = min(k, z) digits, k being
-    the most last digits whose sum stays <= y: the last z digits, less those
-    at their left end that take their sum past y.  rank! f_base(x, y) is
+    Where no suffix sums to y, y is itself a g value, one the chain never
+    strips, so num keeps the factor g - y = 0: the pair is (0, 1), with no
+    walk.  Otherwise the last k digits sum to y, and the chain of the
+    recursion strips x's last m = min(k, z) digits.  rank! f_base(x, y) is
     (-1)^y C(rank, y) prod_g (g - y) (see weight_row), and each of the t 2s
-    the chain strips divides it by one (g - y)^2, a g below y.  Where no
-    suffix sums to y, y is itself a g value, one the chain never strips, so
-    num keeps the factor g - y = 0: the pair is (0, 1), with no walk.
+    the chain strips divides it by one (g - y)^2, a g below y.
     """
     n = len(digits)
-    m, s = z, sum(digits[n - z:])  # the last m digits sum to s
-    while s > y:
-        m -= 1
-        s -= digits[n - m - 1]
-    diffs = _g_less(digits, y)
-    if 0 in diffs:  # y is a g value
+    split, s = suffix_split(digits, y)
+    if s != y:  # y is a g value
         return 0, 1
+    m = min(n - split, z)
+    s = sum(digits[n - m:])  # the sum of the m digits the chain strips
+    diffs = _g_less(digits, y)
     rank = sum(digits)
     lead, t = _lagrange_walk(digits, rank, y, m, s)
     if not t:  # the chain strips no 2, so there is no divisor to split off
@@ -214,18 +217,59 @@ def f_rec(x: Word, y: int, z: int) -> Fraction:
 
 def f_rows(x: Word) -> list[list[tuple[int, int]]]:
     """[[f(x, y, z) as (num, den) for y in 0..rank(x)] for z in
-    0..digits(x)], by the evaluator of :func:`f_rec`, each entry evaluated
-    once: (0, 1) where no suffix of x sums to y, and an entry depends on z
-    only through the digits its chain strips, m = min(k, z), so the row at z
-    is the one at z - 1 with the entries of k >= z evaluated again."""
+    0..digits(x)], each entry (0, 1) where no suffix of x sums to y, from
+    one walk per suffix sum, written apart from :func:`_f_pair`.
+
+    For y the sum of the last k digits, the entry at z is the chain of
+    m = min(k, z) stripped digits, so the column of y holds k + 1 chains.
+    They multiply the same digit maps, the last digit's first (the transpose
+    of :func:`_walk`), and differ only in how many they take: with y' = y
+    less the digits right of a digit, a 1 maps the row vector (r0, r1) to
+    (-y' r0, r0 + r1), and a 2, with u = 1 - y', to (-y' u r0,
+    u (r0 + u r1)).  From r = (1, 0), the chain of m digits is r0 + r1 after
+    m maps, so one right-to-left walk over the last k digits gives the whole
+    column.  Where t of the m digits are 2s, the entry is
+    ((-1)^y C(rank, y) (r0 + r1) prod_{g past the first t} (g - y),
+    rank! prod_{the first t g} (g - y)), as in :func:`_f_pair`: the products
+    over the last g values are built once per column, and the den gains one
+    factor at each 2.
+    """
     digits = x.digits
-    sums = list(accumulate(reversed(digits), initial=0))
-    row = [(0, 1)] * (x.rank + 1)
+    n = len(digits)
+    rank = x.rank
+    scale = factorial(rank)
+    gs = _g_less(digits, 0)
+    columns = []  # (y, [the entry at m for m in 0..k]) for each k
+    y = 0  # the sum of the last k digits
+    for k in range(n + 1):
+        if k:
+            y += digits[-k]
+        diffs = [g - y for g in gs]
+        # tails[j]: the product of the last j diffs
+        tails = list(accumulate(reversed(diffs), mul, initial=1))
+        rest = len(diffs)  # the g values whose 2s the chain has not stripped
+        lead = (-1) ** y * comb(rank, y)
+        column = [(lead * tails[rest], scale)]
+        r0, r1 = 1, 0
+        a, den = y, scale  # a: y' at the next digit
+        for d in reversed(digits[n - k:]):
+            if d == 1:
+                r0, r1 = -a * r0, r0 + r1
+            else:
+                u = 1 - a
+                r0, r1 = -a * u * r0, u * (r0 + u * r1)
+                den *= diffs[-rest]  # the g of this 2
+                rest -= 1
+            column.append((lead * (r0 + r1) * tails[rest], den))
+            a -= d
+        columns.append((y, column))
+    # the row at z is the one at z - 1 with the columns of k >= z moved on
+    row = [(0, 1)] * (rank + 1)
     rows = []
-    for z in range(len(sums)):
+    for z in range(n + 1):
         row = row.copy()
-        for y in sums[z:]:
-            row[y] = _f_pair(digits, y, z)
+        for y, column in columns[z:]:
+            row[y] = column[z]
         rows.append(row)
     return rows
 

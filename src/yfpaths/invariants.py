@@ -4,11 +4,16 @@ Each checker sweeps every word up to a digit-count bound, evaluates both
 sides of one identity with exact arithmetic, and yields one outcome per
 check: True, or a label describing the failure.  :func:`tally` counts them.
 f is read as integer (num, den) pairs: every entry at every z
-(``f_rows``) where a suite reads a word's whole table, one entry
-(``_f_pair``) where it reads one, and f_base as the product it is the
-reciprocal of (``_base_den``).  So each check is integer arithmetic,
-mostly one cross-multiplication, and no ``Fraction`` is built.  A suite that reads a
-word's values in more than one role evaluates them once.
+(``f_rows``, one walk per suffix sum) where a suite reads a word's whole
+table, one entry (``_f_pair``, the evaluator behind ``f_rec``) where it
+reads one, and f_base as the product it is the reciprocal of
+(``_base_den``).  So each check is integer arithmetic, mostly one
+cross-multiplication, and no ``Fraction`` is built.  A suite that reads a
+word's values in more than one role evaluates them once.  The two f
+evaluators are written apart, but the suites that read ``f_rows`` (prefix
+extension, equal-rank symmetry) compare it only with itself, over chains
+that strip the same digits, so a fault of its walk that every word shares
+passes them; the tests compare the rows with ``_f_pair``.
 They back the `verify` command and the acceptance suite; an empty failure
 list is the expected outcome on a correct build.
 """

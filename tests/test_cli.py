@@ -15,7 +15,8 @@ import yfpaths.oracle as oracle
 from yfpaths.cli import hasse_dot, main, run_verification
 from yfpaths.counts import count_s_paths
 from yfpaths.functions import f_explicit
-from yfpaths.trajectories import EnumerationCapExceeded, enumerate_trajectories
+from yfpaths.functions import InconsistencyError
+from yfpaths.trajectories import EnumerationCapExceeded, Trajectory, enumerate_trajectories
 from yfpaths.words import level, parse_word
 
 
@@ -996,6 +997,61 @@ def test_verify_catches_off_by_one_counts(monkeypatch, name, section, cases):
     labels = [f"({', '.join(map(str, case))}): " for case in cases]
     assert len(failed[section]) == len(labels)
     assert all(f.startswith(label) for f, label in zip(failed[section], labels))
+
+
+def test_trajectory_section_builds_one_row_per_word_pair(monkeypatch):
+    # every trajectory of a word pair is counted from one weight row: the
+    # 1,282 checks at (4, 2) fall on the 92 pairs of rank <= 4
+    rows, inside = [], []
+    row, batch = cli.counts.weight_row, cli.counts._trajectory_counts
+
+    def spy_row(*args):
+        rows.append(bool(inside))
+        return row(*args)
+
+    def spy_batch(*args):
+        inside.append(True)
+        try:
+            return batch(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cli.counts, "weight_row", spy_row)
+    monkeypatch.setattr(cli.counts, "_trajectory_counts", spy_batch)
+    sections = {s["name"]: s for s in run_verification(max_rank=4, max_s=2)}
+    assert sections["trajectory-paths"]["checks"] == 1282
+    assert sum(rows) == 92
+
+
+def test_verify_names_the_one_wrong_trajectory(monkeypatch):
+    # a count wrong for one trajectory fails that trajectory alone, by its
+    # (x, y, t); an inconsistency fails every trajectory counted with it
+    x, y = parse_word("1"), parse_word("21")
+    t = Trajectory((3, 2, 1, 2, 1))
+    checks = {s["name"]: s["checks"] for s in run_verification(max_rank=3, max_s=1)}
+    original = cli.counts._as_count
+
+    def wrong(total, what, *args, scale=1):
+        value = original(total, what, *args, scale=scale)
+        return value + (args == (x, y, t))
+
+    monkeypatch.setattr(cli.counts, "_as_count", wrong)
+    sections = run_verification(max_rank=3, max_s=1)
+    assert {s["name"]: s["checks"] for s in sections} == checks
+    failed = {s["name"]: s["failures"] for s in sections if s["failures"]}
+    assert failed == {"trajectory-paths": ["(1, 21, 3,2,1,2,1): 5 != 4"]}
+
+    def inconsistent(total, what, *args, scale=1):
+        if args == (x, y, t):
+            raise InconsistencyError("injected")
+        return original(total, what, *args, scale=scale)
+
+    monkeypatch.setattr(cli.counts, "_as_count", inconsistent)
+    sections = run_verification(max_rank=3, max_s=1)
+    assert {s["name"]: s["checks"] for s in sections} == checks
+    [traj] = [s for s in sections if s["failures"]]
+    ts = [u for S in range(2) for u in enumerate_trajectories(1, 3, S)]
+    assert traj["failures"] == [f"(1, 21, {u}): injected" for u in sorted(ts, key=lambda u: u.values)]
 
 
 def test_verify_cap_blocks_expensive_oracle(capsys):

@@ -112,6 +112,38 @@ def test_trajectory_reversal_symmetry():
                         )
 
 
+def test_trajectory_batch_skips_only_common_up_values(monkeypatch):
+    # one row serves every trajectory of a pair: it is walked at every shift
+    # the full row walks but the up-values that every trajectory shares, and
+    # each count is the count of its trajectory alone
+    hits = 0
+    for ry in range(5):
+        for y in level(ry):
+            for rx in range(ry + 1):
+                for x in level(rx):
+                    ts = [t for S in range(3) for t in enumerate_trajectories(rx, ry, S)]
+                    ups = [set(t.up_values) for t in ts]
+                    common = set.intersection(*ups)
+                    want = [count_trajectory(x, y, t) for t in ts]
+                    full = _walked(monkeypatch, weight_row, x, y)[1]
+                    got, walked = _walked(monkeypatch, counts._trajectory_counts, x, y, ts)
+                    assert got == want, (x, y)
+                    assert sorted(walked) == sorted(set(full) - common), (x, y)
+                    hits += len(set(walked) & set.union(*ups))
+    assert hits > 50  # shifts walked for some trajectories, not all
+
+
+def _walked(monkeypatch, call, *args):
+    """call(*args) and the shifts at which weight rows ran a walk."""
+    walked = []
+    walk = functions._lagrange_walk
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            functions, "_lagrange_walk", lambda d, r, i, *rest: walked.append(i) or walk(d, r, i, *rest)
+        )
+        return call(*args), walked
+
+
 def test_odd_double_factorial():
     assert odd_double_factorial(-1) == 1
     assert odd_double_factorial(1) == 1

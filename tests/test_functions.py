@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from reference import f_explicit_terms, suffix_sum
@@ -172,6 +172,38 @@ def test_f_row_and_base_den_agree_with_f_rec_and_f_base():
         assert [F(1, den) if den else F(0) for den in dens] == [f_base(x, y) for y in ys], f"{x}"
 
 
+def test_f_rows_take_no_entry_of_f_pair(monkeypatch):
+    # the rows are a second evaluator: they walk each column themselves and
+    # reach none of the helpers of _f_pair, so the tests that compare the
+    # two compare code written apart
+    import yfpaths.functions as functions
+
+    def unreachable(*args):
+        raise AssertionError("f_rows reached the evaluator of _f_pair")
+
+    want = {x: f_rows(x) for x in words_up_to_digits(6)}
+    for name in ("_f_pair", "_lagrange_walk", "_walk"):
+        monkeypatch.setattr(functions, name, unreachable)
+    assert all(f_rows(x) == rows for x, rows in want.items())
+
+
+# words of 20 to 40 digits, mostly 2s, whose chains strip many of them;
+# test_f_row_and_base_den_agree_with_f_rec_and_f_base takes every shorter one
+_long_words = st.builds(
+    Word, st.lists(st.sampled_from([1, 2, 2, 2]), min_size=20, max_size=40).map(tuple)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_long_words)
+def test_f_rows_match_f_pair(x):
+    for z, row in enumerate(f_rows(x)):
+        assert len(row) == x.rank + 1
+        for y, (num, den) in enumerate(row):
+            pn, pd = _f_pair(x.digits, y, z)
+            assert den and num * pd == pn * den, f"{x}, y={y}, z={z}"
+
+
 def test_zero_keys_take_no_walk(monkeypatch):
     # where no suffix of x sums to y, y is a g value of x that the chain
     # never strips, so f is 0 with no walk, binomial or factorial
@@ -188,7 +220,7 @@ def test_zero_keys_take_no_walk(monkeypatch):
     ]
     assert len(keys) > 1000
     functions.clear_caches()
-    for name in ("_lagrange_walk", "_walk", "comb", "factorial"):
+    for name in ("_g_less", "_lagrange_walk", "_walk", "comb", "factorial"):
         monkeypatch.setattr(functions, name, unreachable)
     for key in keys:
         assert _f_pair(*key)[0] == 0, key
